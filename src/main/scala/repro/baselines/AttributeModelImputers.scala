@@ -83,9 +83,11 @@ final class BlrImputer(alpha: Double = 1e-3) extends Imputer {
 }
 
 /** ERACER (Mayfield et al.): regression on both the tuple's own complete
-  * attributes and its neighbours' aggregated attributes, applied iteratively.
+  * attributes and its neighbours' aggregated attributes. The training set is
+  * complete, so ERACER's relaxation loop would re-fit the same φ and repeat
+  * the same predictions: one pass is its fixpoint.
   */
-final class EracerImputer(k: Int = 5, alpha: Double = 1e-3, iters: Int = 2) extends Imputer {
+final class EracerImputer(k: Int = 5, alpha: Double = 1e-3) extends Imputer {
   override val name = "ERACER"
   override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                          queries: Array[Array[Double]], seed: Long): Array[Double] = {
@@ -101,16 +103,8 @@ final class EracerImputer(k: Int = 5, alpha: Double = 1e-3, iters: Int = 2) exte
       extend(Neighbors.project(complete(i), featIdx), i)
     }.toArray
     val ys = complete.map(_(targetIdx))
-    var phi = Ridge.fit(xs, ys, alpha)
-    var preds = queries.map(q => Ridge.predict(phi, extend(q, -1)))
-    // One refinement pass: re-fit is unchanged (training set is complete), but
-    // iterate predictions to mirror ERACER's relaxation loop.
-    var it = 1
-    while (it < iters) {
-      preds = queries.map(q => Ridge.predict(phi, extend(q, -1)))
-      it += 1
-    }
-    preds
+    val phi = Ridge.fit(xs, ys, alpha)
+    queries.map(q => Ridge.predict(phi, extend(q, -1)))
   }
 }
 

@@ -135,59 +135,96 @@ object IIM {
     out
   }
 
-  /** Validation costs of Algorithm 3 (lines 3–7): `cost[i][li]` accumulates
-    * the squared error of tuple i's li-th candidate model when imputing every
-    * validation tuple j that has i among its k imputation neighbours.
+  /** Reverse neighbour lists: `rev(i)` holds, in ascending order, every
+    * tuple j that has i among the first k entries of `lists(j)` other than j
+    * itself — the validation tuples that tuple i's models would impute
+    * (Algorithm 3 line 4).
     */
-  def validationCosts(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
-                      lists: Array[Array[Int]], models: Array[Array[Vec]],
-                      ls: Array[Int], k: Int): Array[Array[Double]] = {
-    val n = data.length
-    val cost = Array.fill(n)(new Array[Double](ls.length))
+  def reverseLists(lists: Array[Array[Int]], k: Int): Array[Array[Int]] = {
+    val rev = Array.fill(lists.length)(Array.newBuilder[Int])
     var j = 0
-    while (j < n) {
-      val xF = Neighbors.project(data(j), featIdx)
-      val v = data(j)(targetIdx)
-      // k imputation neighbours of validation tuple j, excluding j itself:
-      // the precomputed list starts with j (distance 0), so skip it.
+    while (j < lists.length) {
+      // j sits in its own list at distance 0 (behind any duplicate rows of
+      // lower index); it is not its own validation neighbour.
       val list = lists(j)
       var taken = 0; var p = 0
       while (p < list.length && taken < k) {
-        val i = list(p)
-        if (i != j) {
-          var li = 0
-          while (li < ls.length) {
-            val d = v - Ridge.predict(models(i)(li), xF)
-            cost(i)(li) += d * d
-            li += 1
-          }
-          taken += 1
-        }
+        if (list(p) != j) { rev(list(p)) += j; taken += 1 }
         p += 1
       }
       j += 1
     }
+    rev.map(_.result())
+  }
+
+  /** Validation costs of one tuple (Algorithm 3 lines 3–7): `cost[li]` sums,
+    * over the `validators` in the order given, the squared error of the
+    * tuple's li-th candidate model when imputing each validation tuple.
+    */
+  def costsFor(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+               validators: Array[Int], models: Array[Vec]): Array[Double] = {
+    val cost = new Array[Double](models.length)
+    var p = 0
+    while (p < validators.length) {
+      val row = data(validators(p))
+      val xF = Neighbors.project(row, featIdx)
+      val v = row(targetIdx)
+      var li = 0
+      while (li < models.length) {
+        val d = v - Ridge.predict(models(li), xF)
+        cost(li) += d * d
+        li += 1
+      }
+      p += 1
+    }
     cost
   }
 
-  /** Argmin over candidate ℓ per tuple (Algorithm 3 lines 8–10). Tuples with
-    * an all-zero cost row were never anyone's imputation neighbour; they fall
-    * back to the largest candidate ℓ (under-fit-safe, GLR-like).
+  /** Validation costs of every tuple, `[tuple][candidateIdx]`, each summed
+    * over its validation tuples j in ascending order. `ls` is unused; it is
+    * kept so callers pass the same arguments as to [[candidateModels]].
     */
-  def selectModels(models: Array[Array[Vec]], cost: Array[Array[Double]]): Array[Vec] =
-    Array.tabulate(models.length) { i =>
-      val row = cost(i)
-      var best = 0; var bestC = row(0); var any = row(0) > 0.0
-      var li = 1
-      while (li < row.length) {
-        if (row(li) > 0.0) any = true
-        if (row(li) < bestC) { bestC = row(li); best = li }
-        li += 1
-      }
-      models(i)(if (any) best else row.length - 1)
-    }
+  def validationCosts(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+                      lists: Array[Array[Int]], models: Array[Array[Vec]],
+                      ls: Array[Int], k: Int): Array[Array[Double]] = {
+    val rev = reverseLists(lists, k)
+    Array.tabulate(data.length)(i => costsFor(data, featIdx, targetIdx, rev(i), models(i)))
+  }
 
-  /** Algorithm 3 end-to-end with incremental computation. */
+  /** Argmin over candidate ℓ of one tuple (Algorithm 3 lines 8–10). A tuple
+    * with an all-zero cost row was never anyone's imputation neighbour; it
+    * falls back to the largest candidate ℓ (under-fit-safe, GLR-like). The
+    * chosen candidate is returned by reference.
+    */
+  def selectModel(models: Array[Vec], cost: Array[Double]): Vec = {
+    var best = 0; var bestC = cost(0); var any = cost(0) > 0.0
+    var li = 1
+    while (li < cost.length) {
+      if (cost(li) > 0.0) any = true
+      if (cost(li) < bestC) { bestC = cost(li); best = li }
+      li += 1
+    }
+    models(if (any) best else cost.length - 1)
+  }
+
+  /** [[selectModel]] for every tuple. */
+  def selectModels(models: Array[Array[Vec]], cost: Array[Array[Double]]): Array[Vec] =
+    Array.tabulate(models.length)(i => selectModel(models(i), cost(i)))
+
+  /** Algorithm 3 for one tuple: learn its candidate models over its neighbour
+    * `list`, validate them on its `validators` (its entry of
+    * [[reverseLists]]) and return the chosen one. This is the unit of work
+    * the Spark path fans out.
+    */
+  def adaptiveFor(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+                  list: Array[Int], validators: Array[Int], ls: Array[Int], alpha: Double): Vec = {
+    val models = candidateModelsFor(data, featIdx, targetIdx, list, ls, alpha)
+    selectModel(models, costsFor(data, featIdx, targetIdx, validators, models))
+  }
+
+  /** Algorithm 3 end-to-end with incremental computation, one stage over all
+    * tuples at a time (the same per-tuple functions as [[adaptiveFor]]).
+    */
   def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
     val ls = ellCandidates(data.length, p.lMax, p.step)
     val limit = math.max(ls.last, p.kvEff + 1)

@@ -7,22 +7,25 @@ import repro.linalg.LinAlg.Vec
 
 /** Spark-parallel IIM, per the DataFrame-first layering in DESIGN.md §1.
   *
-  * The complete relation is small (≤100k short rows) and is broadcast; the
-  * two heavy loops of adaptive learning fan out over the cluster:
+  * The complete relation is small (≤100k short rows) and is broadcast.
+  * Adaptive learning (Algorithm 3) is a fan-out over the same per-tuple
+  * functions [[IIM.adaptive]] runs, in two `mapPartitions` jobs over
+  * `spark.range(n)`, with no shuffle:
   *
-  *  - candidate-model learning is `mapPartitions` over one row per complete
-  *    tuple (`spark.range(n)`), each task running the incremental
-  *    Proposition-3 update for its tuples;
-  *  - validation fans out per validation tuple, emitting (i, ℓ, cost)
-  *    contributions that a DataFrame `groupBy().sum()` aggregates — the
-  *    shuffle path, since broadcast joins are disabled in tests;
-  *  - imputation (Algorithm 2) is a scalar UDF over the feature array,
-  *    applied only where the target column is NULL/NaN.
+  *  - job 1 computes each tuple's neighbour list once and collects it; the
+  *    driver builds the reverse lists ([[IIM.reverseLists]]) and broadcasts
+  *    both;
+  *  - job 2 runs [[IIM.adaptiveFor]] per tuple (Proposition-3 learning,
+  *    validation over its reverse list, argmin) and returns only the chosen
+  *    model.
+  *
+  * Imputation (Algorithm 2) is a scalar UDF over the feature array, applied
+  * only where the target column is NULL/NaN.
   */
 object SparkIIM {
 
-  /** Distributed Algorithm-3 learning; returns one model per complete tuple
-    * (identical to [[IIM.adaptive]] — asserted in tests).
+  /** Distributed Algorithm-3 learning; returns one model per complete tuple,
+    * bitwise identical to [[IIM.adaptive]] (asserted in tests).
     */
   def adaptiveModels(spark: SparkSession, data: Array[Array[Double]], featIdx: Array[Int],
                      targetIdx: Int, p: IIM.Params): Array[Vec] = {
@@ -30,50 +33,27 @@ object SparkIIM {
     val sc = spark.sparkContext
     val n = data.length
     val ls = IIM.ellCandidates(n, p.lMax, p.step)
-    val limit = math.max(ls.last, p.kvEff + 1)
+    val limit = math.min(math.max(ls.last, p.kvEff + 1), n)
     val bcData = sc.broadcast(data)
     val bcFeat = sc.broadcast(featIdx)
-    val kv = p.kvEff
-    val alpha = p.alpha
-    val tIdx = targetIdx
 
-    // Phase A: per-tuple candidate models, parallel over tuples.
-    val modelRows = spark.range(n.toLong).as[Long].mapPartitions { it =>
+    val lists = new Array[Array[Int]](n)
+    spark.range(n.toLong).as[Long].mapPartitions { it =>
       val d = bcData.value; val fi = bcFeat.value
+      it.map(i => (i.toInt, Neighbors.nearest(d, fi, Neighbors.project(d(i.toInt), fi), limit)))
+    }.collect().foreach { case (i, list) => lists(i) = list }
+
+    val bcLists = sc.broadcast(lists)
+    val bcRev = sc.broadcast(IIM.reverseLists(lists, p.kvEff))
+    val models = new Array[Vec](n)
+    spark.range(n.toLong).as[Long].mapPartitions { it =>
+      val d = bcData.value; val fi = bcFeat.value; val nn = bcLists.value; val rev = bcRev.value
       it.map { iL =>
         val i = iL.toInt
-        val list = Neighbors.nearest(d, fi, Neighbors.project(d(i), fi), math.min(limit, d.length))
-        val models = IIM.candidateModelsFor(d, fi, tIdx, list, ls, alpha)
-        (i, models.map(_.toSeq).toSeq)
+        (i, IIM.adaptiveFor(d, fi, targetIdx, nn(i), rev(i), ls, p.alpha))
       }
-    }.collect()
-    val models = new Array[Array[Vec]](n)
-    modelRows.foreach { case (i, ms) => models(i) = ms.map(_.toArray).toArray }
-
-    // Phase B: validation-cost contributions per validation tuple, aggregated
-    // relationally. cost[i][li] = Σ_j (v_j − φ_i^{(ℓ_li)}(t_j[F]))² over the
-    // validation tuples j that count i among their k imputation neighbours.
-    val bcModels = sc.broadcast(models)
-    val contributions = spark.range(n.toLong).as[Long].flatMap { jL =>
-      val d = bcData.value; val fi = bcFeat.value; val ms = bcModels.value
-      val j = jL.toInt
-      val xF = Neighbors.project(d(j), fi)
-      val v = d(j)(tIdx)
-      val nn = Neighbors.nearest(d, fi, xF, kv, exclude = j)
-      for {
-        i <- nn.toSeq
-        li <- ls.indices
-      } yield {
-        val e = v - repro.core.Ridge.predict(ms(i)(li), xF)
-        (i, li, e * e)
-      }
-    }.toDF("i", "li", "err")
-      .groupBy("i", "li").agg(sum("err").as("cost"))
-      .collect()
-
-    val cost = Array.fill(n)(new Array[Double](ls.length))
-    contributions.foreach(r => cost(r.getInt(0))(r.getInt(1)) = r.getDouble(2))
-    IIM.selectModels(models, cost)
+    }.collect().foreach { case (i, phi) => models(i) = phi }
+    models
   }
 
   /** Algorithm 2 as a DataFrame UDF: rows of `df` whose `targetCol` is

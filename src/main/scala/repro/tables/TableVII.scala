@@ -3,7 +3,7 @@ package repro.tables
 import org.apache.spark.sql.SparkSession
 import repro.apps.Applications
 import repro.data.{Generators, Missing}
-import repro.ml.{KMeans, KnnClassifier, Metrics}
+import repro.ml.{KMeans, Metrics}
 
 /** Table VII: clustering purity on ASF & CA and classification F1 on MAM &
   * HEP, with real (injected MCAR, truth unused) missing values, for every

@@ -10,7 +10,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * paper's contribution is the broadcast side. Logging is configured by the
+  * test-scope `log4j2.properties` (WARN, to stderr), which log4j reads before
+  * the session starts, so no Spark INFO lines reach test or bench output.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -27,8 +29,6 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // Keep bench/table output readable: Spark INFO chatter off.
-    s.sparkContext.setLogLevel("WARN")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.scalacheck.{Gen, Prop, Test}
 import repro.SparkSpec
 import repro.core.IIM
 
@@ -13,14 +14,52 @@ class SparkIIMSpec extends SparkSpec {
 
   private val p = IIM.Params(k = 4, lMax = 25, step = 2)
 
-  test("adaptiveModels equals the local IIM.adaptive models") {
-    val data = randomData(80, 3, 1)
-    val fi = Array(0, 1); val ti = 2
+  private def assertSameModels(data: Array[Array[Double]], fi: Array[Int], ti: Int, p: IIM.Params): Unit = {
     val sparkModels = SparkIIM.adaptiveModels(spark, data, fi, ti, p)
     val localModels = IIM.adaptive(data, fi, ti, p)
     assert(sparkModels.length == localModels.length)
-    for (i <- data.indices; j <- sparkModels(i).indices)
-      assert(math.abs(sparkModels(i)(j) - localModels(i)(j)) < 1e-9, s"model $i differs")
+    for (i <- data.indices)
+      assert(sparkModels(i).sameElements(localModels(i)), s"model $i differs (n=${data.length}, $p)")
+  }
+
+  /** n rows drawn with replacement from `distinct` random rows (duplicates
+    * when distinct < n); `constant` pins feature column 0 to one value.
+    */
+  private def edgeData(n: Int, distinct: Int, constant: Boolean, seed: Long): Array[Array[Double]] = {
+    val pool = randomData(distinct, 3, seed)
+    val rnd = new scala.util.Random(seed)
+    Array.fill(n) {
+      val row = pool(rnd.nextInt(distinct)).clone()
+      if (constant) row(0) = 2.5
+      row
+    }
+  }
+
+  test("adaptiveModels equals the local IIM.adaptive models") {
+    assertSameModels(randomData(80, 3, 1), Array(0, 1), 2, p)
+    // n ≤ kv and k ≥ n, with repeated rows and a constant feature; then n = 1.
+    assertSameModels(edgeData(6, 3, constant = true, 8), Array(0, 1), 2, IIM.Params(k = 9, lMax = 10, kv = 20))
+    assertSameModels(edgeData(1, 1, constant = false, 9), Array(0, 1), 2, IIM.Params(k = 3))
+  }
+
+  test("adaptiveModels equals IIM.adaptive bitwise over random Params and sizes") {
+    val cases = for {
+      n <- Gen.choose(1, 40)
+      distinct <- Gen.choose(1, n)
+      constant <- Gen.oneOf(false, true)
+      nFeat <- Gen.choose(1, 2)
+      k <- Gen.choose(1, 45)
+      lMax <- Gen.choose(1, 50)
+      step <- Gen.choose(1, 7)
+      kv <- Gen.choose(0, 45)
+      seed <- Gen.choose(0L, 100000L)
+    } yield (edgeData(n, distinct, constant, seed), nFeat, IIM.Params(k = k, lMax = lMax, step = step, kv = kv))
+    val prop = Prop.forAllNoShrink(cases) { case (data, nFeat, params) =>
+      assertSameModels(data, Array.range(0, nFeat), 2, params)
+      true
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(12).withWorkers(1), prop)
+    assert(result.passed, result.status)
   }
 
   test("imputeValues equals the local end-to-end pipeline") {
