@@ -10,7 +10,7 @@ object TableVIIJob {
   def main(args: Array[String]): Unit = {
     val sizeFactor = args.headOption.map(_.toDouble).getOrElse(1.0)
     val seed = args.lift(1).map(_.toLong).getOrElse(42L)
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("iim-table-vii").getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     try println(TableVII.format(TableVII.run(spark, sizeFactor, seed)))

@@ -10,7 +10,7 @@ object TableVJob {
   def main(args: Array[String]): Unit = {
     val sizeFactor = args.headOption.map(_.toDouble).getOrElse(1.0)
     val seed = args.lift(1).map(_.toLong).getOrElse(42L)
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("iim-table-v").getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     try println(TableV.format(TableV.run(spark, sizeFactor, seed)))

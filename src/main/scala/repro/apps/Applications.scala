@@ -48,16 +48,13 @@ object Applications {
     est
   }
 
-  /** Clustering application (§VI-D1): truth labels are KMeans clusters of the
+  /** Clustering application (§VI-D1): `truth` holds the KMeans labels of the
     * *original* complete data; purity measures how well clustering the
-    * (imputed or still-holed) data reproduces them.
+    * (imputed or still-holed) data with the same k and seed reproduces them.
     */
-  def clusteringPurity(original: Array[Array[Double]], holedOrImputed: Array[Array[Double]],
-                       k: Int, seed: Long): Double = {
-    val truth = KMeans.fit(original, k, seed).labels
-    val pred = KMeans.fit(holedOrImputed, k, seed).labels
-    Metrics.purity(pred, truth)
-  }
+  def clusteringPurity(truth: Array[Int], holedOrImputed: Array[Array[Double]],
+                       k: Int, seed: Long): Double =
+    Metrics.purity(KMeans.fit(holedOrImputed, k, seed).labels, truth)
 
   /** Classification application (§VI-D2): 5-fold CV with the kNN classifier;
     * NaN-aware distance makes the un-imputed run well-defined.

@@ -53,19 +53,17 @@ final class BlrImputer(alpha: Double = 1e-3) extends Imputer {
     val rnd = new Random(seed)
     val xs = complete.map(r => Neighbors.project(r, featIdx))
     val ys = complete.map(_(targetIdx))
-    val phi = Ridge.fit(xs, ys, alpha)
+    val st = new Ridge.State(featIdx.length, alpha)
+    xs.indices.foreach(i => st.add(xs(i), ys(i)))
+    val phi = st.solve()
     val n = xs.length; val p = featIdx.length + 1
     val rss = xs.indices.map { i => val e = ys(i) - Ridge.predict(phi, xs(i)); e * e }.sum
     val sigma2 = math.max(rss / math.max(n - p, 1), 1e-12)
-    // Posterior covariance σ²(XᵀX+αI)⁻¹ via its Cholesky-solved columns.
-    val st = new Ridge.State(featIdx.length, alpha)
-    xs.indices.foreach(i => st.add(xs(i), ys(i)))
-    val a = LinAlg.copy(st.u)
-    (0 until p).foreach(i => a(i)(i) += alpha)
+    // Posterior covariance σ²(XᵀX+αI)⁻¹, one solved column at a time.
     val cov = LinAlg.zeros(p, p)
     (0 until p).foreach { j =>
       val e = new Array[Double](p); e(j) = 1.0
-      val colSol = LinAlg.solve(a, e)
+      val colSol = Ridge.solve(st.u, e, alpha)
       (0 until p).foreach(i => cov(i)(j) = sigma2 * colSol(i))
     }
     // Symmetrise tiny asymmetries before the Cholesky.

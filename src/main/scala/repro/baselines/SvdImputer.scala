@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.Imputer
+import repro.core.{Imputer, Ridge}
 import repro.linalg.LinAlg
 
 /** SVDimpute (Troyanskaya et al.): project onto the top-`rank` eigenvectors
@@ -36,7 +36,6 @@ final class SvdImputer(rank: Int = 0, ridge: Double = 1e-6) extends Imputer {
     // coords = (P_Fᵀ P_F + εI)⁻¹ P_Fᵀ (q − μ_F), then impute μ_t + P_t·coords.
     val g = LinAlg.zeros(kk, kk)
     for (row <- pF; i <- 0 until kk; j <- 0 until kk) g(i)(j) += row(i) * row(j)
-    for (i <- 0 until kk) g(i)(i) += ridge
     queries.map { q =>
       val b = new Array[Double](kk)
       var a = 0
@@ -46,7 +45,7 @@ final class SvdImputer(rank: Int = 0, ridge: Double = 1e-6) extends Imputer {
         while (j < kk) { b(j) += pF(a)(j) * centered; j += 1 }
         a += 1
       }
-      val coords = LinAlg.solve(g, b)
+      val coords = Ridge.solve(g, b, ridge)
       mu(targetIdx) + LinAlg.dot(pT, coords)
     }
   }

@@ -49,6 +49,12 @@ object IIM {
     Iterator.iterate(1)(_ + step).takeWhile(_ <= top).toArray
   }
 
+  /** Neighbour-list length Algorithm 3 needs for candidate ℓs `ls` over n
+    * tuples: the largest ℓ, or kv validation neighbours besides the tuple
+    * itself if more, capped at n.
+    */
+  def listLength(n: Int, ls: Array[Int], p: Params): Int = math.min(math.max(ls.last, p.kvEff + 1), n)
+
   /** Full sorted learning-neighbour list (self included, at distance 0) for
     * every tuple, truncated at `limit` entries.
     */
@@ -65,24 +71,8 @@ object IIM {
     */
   def learnFixed(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                  ell: Int, alpha: Double): Array[Vec] = {
-    val lists = neighborLists(data, featIdx, math.min(ell, data.length))
-    Array.tabulate(data.length)(i => fitOver(data, featIdx, targetIdx, lists(i), math.min(ell, data.length), alpha))
-  }
-
-  /** Fit a ridge model over the first `ell` entries of a neighbour list. */
-  private def fitOver(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
-                      list: Array[Int], ell: Int, alpha: Double): Vec = {
-    if (ell <= 1) singleNeighborModel(featIdx.length, data(list(0))(targetIdx))
-    else {
-      val st = new Ridge.State(featIdx.length, alpha)
-      var p = 0
-      while (p < ell) {
-        val row = data(list(p))
-        st.add(Neighbors.project(row, featIdx), row(targetIdx))
-        p += 1
-      }
-      st.solve()
-    }
+    val e = math.min(ell, data.length)
+    candidateModels(data, featIdx, targetIdx, neighborLists(data, featIdx, e), Array(e), alpha).map(_(0))
   }
 
   /** Candidate models for every tuple and candidate ℓ, computed with the
@@ -124,10 +114,10 @@ object IIM {
     val out = Array.fill(n)(new Array[Vec](ls.length))
     var li = 0
     while (li < ls.length) {
+      val ell = Array(ls(li))
       var i = 0
       while (i < n) {
-        val ell = math.min(ls(li), lists(i).length)
-        out(i)(li) = fitOver(data, featIdx, targetIdx, lists(i), ell, alpha)
+        out(i)(li) = candidateModelsFor(data, featIdx, targetIdx, lists(i), ell, alpha)(0)
         i += 1
       }
       li += 1
@@ -227,8 +217,7 @@ object IIM {
     */
   def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
     val ls = ellCandidates(data.length, p.lMax, p.step)
-    val limit = math.max(ls.last, p.kvEff + 1)
-    val lists = neighborLists(data, featIdx, limit)
+    val lists = neighborLists(data, featIdx, listLength(data.length, ls, p))
     val models = candidateModels(data, featIdx, targetIdx, lists, ls, p.alpha)
     selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
   }
@@ -236,8 +225,7 @@ object IIM {
   /** Algorithm 3 as written (from-scratch learning per ℓ); for tests/timing. */
   def adaptiveNaive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
     val ls = ellCandidates(data.length, p.lMax, p.step)
-    val limit = math.max(ls.last, p.kvEff + 1)
-    val lists = neighborLists(data, featIdx, limit)
+    val lists = neighborLists(data, featIdx, listLength(data.length, ls, p))
     val models = candidateModelsNaive(data, featIdx, targetIdx, lists, ls, p.alpha)
     selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
   }

@@ -7,9 +7,13 @@ import repro.linalg.LinAlg.{Mat, Vec}
   *
   *   φ = (XᵀX + αE)⁻¹ XᵀY,  with rows of X being (1, x₁ … x_{m-1}).
   *
-  * The incremental [[Ridge.State]] carries U = XᵀX and V = XᵀY so that rows
-  * can be appended one at a time — exactly Proposition 3 of the paper, which
-  * makes the per-ℓ learning cost constant instead of linear in ℓ.
+  * This object owns the whole ridge decision. [[Ridge.State]] carries
+  * U = XᵀX and V = XᵀY so that rows can be appended one at a time — exactly
+  * Proposition 3 of the paper, which makes the per-ℓ learning cost constant
+  * instead of linear in ℓ — and [[Ridge.solve]] is the one regularised solve.
+  * Every in-core ridge fit (IIM and the regression baselines) accumulates
+  * through `State`; the Spark GLR, whose U and V are SQL sums, and the SVD
+  * baseline share only the solve.
   */
 object Ridge {
 
@@ -23,32 +27,42 @@ object Ridge {
     /** Number of rows added. */
     var count: Int = 0
 
-    /** Append one observation (feature vector without the leading 1). */
-    def add(x: Vec, y: Double): Unit = {
+    /** Append one observation (feature vector without the leading 1) scaled
+      * by `s`: the augmented row s·(1, x) with target s·y. Weighted least
+      * squares with row weight w is s = √w; with s = 1 every product is
+      * exact, so the unweighted sums carry no rounding from the scale.
+      */
+    def add(x: Vec, y: Double, s: Double = 1.0): Unit = {
       require(x.length == nFeatures, s"expected $nFeatures features, got ${x.length}")
-      // Augmented row a = (1, x); accumulate aᵀa into U and aᵀy into V.
-      u(0)(0) += 1.0
-      v(0) += y
+      // Accumulate aᵀa into U and aᵀ(s·y) into V for a = s·(1, x).
+      val sy = s * y
+      u(0)(0) += s * s
+      v(0) += s * s * y
       var i = 0
       while (i < nFeatures) {
-        val xi = x(i)
-        u(0)(i + 1) += xi
-        u(i + 1)(0) += xi
-        v(i + 1) += xi * y
+        val xi = s * x(i)
+        u(0)(i + 1) += s * xi
+        u(i + 1)(0) += s * xi
+        v(i + 1) += xi * sy
         var j = 0
-        while (j < nFeatures) { u(i + 1)(j + 1) += xi * x(j); j += 1 }
+        while (j < nFeatures) { u(i + 1)(j + 1) += xi * (s * x(j)); j += 1 }
         i += 1
       }
       count += 1
     }
 
     /** Solve (U + αE)⁻¹ V for the current rows. */
-    def solve(): Vec = {
-      val a = LinAlg.copy(u)
-      var i = 0
-      while (i < d) { a(i)(i) += alpha; i += 1 }
-      LinAlg.solve(a, v)
-    }
+    def solve(): Vec = Ridge.solve(u, v, alpha)
+  }
+
+  /** The regularised solve (U + αE)⁻¹V of Formula 5; `u` and `v` are not
+    * mutated.
+    */
+  def solve(u: Mat, v: Vec, alpha: Double): Vec = {
+    val a = LinAlg.copy(u)
+    var i = 0
+    while (i < a.length) { a(i)(i) += alpha; i += 1 }
+    LinAlg.solve(a, v)
   }
 
   /** Batch fit over the given rows (features without intercept). */
@@ -60,32 +74,16 @@ object Ridge {
     st.solve()
   }
 
-  /** Weighted fit (row weights w ≥ 0), used by the LOESS baseline. */
+  /** Weighted fit (row weights w ≥ 0), used by the LOESS baseline: OLS on
+    * rows scaled by √w, skipping rows of weight 0.
+    */
   def fitWeighted(xs: Array[Vec], ys: Vec, ws: Vec, alpha: Double): Vec = {
     require(xs.nonEmpty, "cannot fit on zero rows")
-    val f = xs(0).length
-    val st = new State(f, alpha)
-    // Weighted least squares = OLS on rows scaled by sqrt(w).
+    val st = new State(xs(0).length, alpha)
     var i = 0
     while (i < xs.length) {
       val s = math.sqrt(math.max(ws(i), 0.0))
-      if (s > 0.0) {
-        // Scale the augmented row (1, x) by s: fold s into U/V manually.
-        val x = xs(i)
-        st.u(0)(0) += s * s
-        st.v(0) += s * s * ys(i)
-        var a = 0
-        while (a < f) {
-          val xa = s * x(a); val one = s
-          st.u(0)(a + 1) += one * xa
-          st.u(a + 1)(0) += one * xa
-          st.v(a + 1) += xa * (s * ys(i))
-          var b = 0
-          while (b < f) { st.u(a + 1)(b + 1) += xa * (s * x(b)); b += 1 }
-          a += 1
-        }
-        st.count += 1
-      }
+      if (s > 0.0) st.add(xs(i), ys(i), s)
       i += 1
     }
     st.solve()

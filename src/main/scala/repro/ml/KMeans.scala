@@ -35,7 +35,7 @@ object KMeans {
     while (c < k) {
       val d2 = data.map(x => (0 until c).map(j => dist2(x, centroids(j))).min)
       val total = d2.sum
-      var pick = if (total <= 0.0) rnd.nextInt(data.length)
+      val pick = if (total <= 0.0) rnd.nextInt(data.length)
       else {
         var r = rnd.nextDouble() * total; var i = 0
         while (i < data.length - 1 && r > d2(i)) { r -= d2(i); i += 1 }

@@ -33,7 +33,7 @@ object SparkIIM {
     val sc = spark.sparkContext
     val n = data.length
     val ls = IIM.ellCandidates(n, p.lMax, p.step)
-    val limit = math.min(math.max(ls.last, p.kvEff + 1), n)
+    val limit = IIM.listLength(n, ls, p)
     val bcData = sc.broadcast(data)
     val bcFeat = sc.broadcast(featIdx)
 
@@ -85,7 +85,7 @@ object SparkIIM {
     import spark.implicits._
     val models = adaptiveModels(spark, complete, featIdx, targetIdx, p)
     val featCols = featIdx.indices.map(a => s"f$a")
-    val qDf = spark.createDataset(queries.zipWithIndex.map { case (q, id) => (id, q.toSeq) })
+    val qDf = spark.createDataset(queries.indices.map(id => (id, queries(id).toSeq)))
       .toDF("id", "fs")
       .select(col("id") +: featCols.zipWithIndex.map { case (c, a) => col("fs").getItem(a).as(c) }: _*)
       .withColumn("y", lit(Double.NaN))

@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.core.Ridge
 import repro.linalg.LinAlg
 import repro.linalg.LinAlg.{Mat, Vec}
 
@@ -37,7 +38,7 @@ object SparkImpute {
   def meanImpute(df: DataFrame, targetCol: String): DataFrame = {
     val observed = when(col(targetCol).isNull || isnan(col(targetCol)), lit(null))
       .otherwise(col(targetCol))
-    val mean = df.agg(avg(observed)).head.getDouble(0)
+    val mean = df.agg(avg(observed)).head().getDouble(0)
     df.withColumn(targetCol, coalesce(observed, lit(mean)))
   }
 
@@ -46,7 +47,7 @@ object SparkImpute {
     * Returns (U = XᵀX, V = XᵀY).
     */
   def normalEquations(df: DataFrame, featCols: Seq[String], targetCol: String): (Mat, Vec) = {
-    val row = normalEquationSums(df, featCols, targetCol).head
+    val row = normalEquationSums(df, featCols, targetCol).head()
     val p = featCols.length + 1
     val u = LinAlg.zeros(p, p)
     val v = new Array[Double](p)
@@ -73,8 +74,6 @@ object SparkImpute {
   /** Fit GLR from the relational normal equations: φ = (U+αE)⁻¹V. */
   def fitGlr(df: DataFrame, featCols: Seq[String], targetCol: String, alpha: Double = 1e-3): Vec = {
     val (u, v) = normalEquations(df, featCols, targetCol)
-    val a = LinAlg.copy(u)
-    for (i <- a.indices) a(i)(i) += alpha
-    LinAlg.solve(a, v)
+    Ridge.solve(u, v, alpha)
   }
 }

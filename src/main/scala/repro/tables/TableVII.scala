@@ -3,7 +3,7 @@ package repro.tables
 import org.apache.spark.sql.SparkSession
 import repro.apps.Applications
 import repro.data.{Generators, Missing}
-import repro.ml.{KMeans, Metrics}
+import repro.ml.KMeans
 
 /** Table VII: clustering purity on ASF & CA and classification F1 on MAM &
   * HEP, with real (injected MCAR, truth unused) missing values, for every
@@ -31,12 +31,10 @@ object TableVII {
       val ds = Generators.byName(name, seed, sizeFactor * (if (name == "CA") 0.4 else 1.0))
       val holed = Missing.injectCells(ds.rows, cellProb, seed + 1)
       val truth = KMeans.fit(ds.rows, k, seed).labels
-      def purityOf(data: Array[Array[Double]]): Double =
-        Metrics.purity(KMeans.fit(data, k, seed).labels, truth)
-      val missingScore = purityOf(holed)
+      val missingScore = Applications.clusteringPurity(truth, holed, k, seed)
       val methods = Methods.iim(spark, name) +: Methods.withMean()
       val scores = methods.map { m =>
-        m.name -> purityOf(Applications.imputeMatrix(holed, m, seed + 2))
+        m.name -> Applications.clusteringPurity(truth, Applications.imputeMatrix(holed, m, seed + 2), k, seed)
       }.toMap
       Row(name, missingScore, scores)
     }

@@ -3,6 +3,7 @@ package repro.apps
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.{KnnImputer, MeanImputer}
 import repro.data.{Generators, Missing}
+import repro.ml.KMeans
 
 class ApplicationsSpec extends AnyFunSuite {
 
@@ -41,15 +42,17 @@ class ApplicationsSpec extends AnyFunSuite {
 
   test("clusteringPurity of the original data against itself is 1") {
     val data = blobby(200, 7)
-    assert(Applications.clusteringPurity(data, data, k = 2, seed = 8) == 1.0)
+    val truth = KMeans.fit(data, 2, 8).labels
+    assert(Applications.clusteringPurity(truth, data, k = 2, seed = 8) == 1.0)
   }
 
   test("kNN imputation restores clustering purity lost to missing values") {
     val data = blobby(300, 9)
     val holed = Missing.injectCells(data, 0.3, seed = 10)
-    val withMissing = Applications.clusteringPurity(data, holed, k = 2, seed = 11)
+    val truth = KMeans.fit(data, 2, 11).labels
+    val withMissing = Applications.clusteringPurity(truth, holed, k = 2, seed = 11)
     val imputed = Applications.imputeMatrix(holed, new KnnImputer(5), seed = 12)
-    val withImpute = Applications.clusteringPurity(data, imputed, k = 2, seed = 11)
+    val withImpute = Applications.clusteringPurity(truth, imputed, k = 2, seed = 11)
     assert(withImpute >= withMissing, s"imputed=$withImpute missing=$withMissing")
     assert(withImpute > 0.95)
   }

@@ -6,6 +6,65 @@ class RidgeSpec extends AnyFunSuite {
 
   private def approx(a: Double, b: Double, eps: Double = 1e-6): Boolean = math.abs(a - b) <= eps
 
+  /** Reference: the unscaled row update `State.add` made before it took a
+    * row scale, kept to pin its bits.
+    */
+  private def addUnscaled(st: Ridge.State, x: Array[Double], y: Double): Unit = {
+    val f = st.nFeatures
+    st.u(0)(0) += 1.0
+    st.v(0) += y
+    var i = 0
+    while (i < f) {
+      val xi = x(i)
+      st.u(0)(i + 1) += xi
+      st.u(i + 1)(0) += xi
+      st.v(i + 1) += xi * y
+      var j = 0
+      while (j < f) { st.u(i + 1)(j + 1) += xi * x(j); j += 1 }
+      i += 1
+    }
+    st.count += 1
+  }
+
+  /** Reference: the weighted fit as written before it went through
+    * `State.add` — rows scaled by √w, folded into U/V by hand.
+    */
+  private def fitWeightedByHand(xs: Array[Array[Double]], ys: Array[Double], ws: Array[Double],
+                                alpha: Double): Array[Double] = {
+    val f = xs(0).length
+    val st = new Ridge.State(f, alpha)
+    var i = 0
+    while (i < xs.length) {
+      val s = math.sqrt(math.max(ws(i), 0.0))
+      if (s > 0.0) {
+        val x = xs(i)
+        st.u(0)(0) += s * s
+        st.v(0) += s * s * ys(i)
+        var a = 0
+        while (a < f) {
+          val xa = s * x(a); val one = s
+          st.u(0)(a + 1) += one * xa
+          st.u(a + 1)(0) += one * xa
+          st.v(a + 1) += xa * (s * ys(i))
+          var b = 0
+          while (b < f) { st.u(a + 1)(b + 1) += xa * (s * x(b)); b += 1 }
+          a += 1
+        }
+        st.count += 1
+      }
+      i += 1
+    }
+    st.solve()
+  }
+
+  /** Random rows with 1–4 features on mixed scales. */
+  private def randomRows(rnd: scala.util.Random): (Array[Array[Double]], Array[Double]) = {
+    val f = 1 + rnd.nextInt(4)
+    val n = f + 2 + rnd.nextInt(30)
+    val xs = Array.fill(n)(Array.fill(f)(rnd.nextGaussian() * math.pow(10, rnd.nextInt(5) - 2)))
+    (xs, xs.map(x => x.sum + rnd.nextGaussian()))
+  }
+
   test("fit recovers an exact linear relation (α→0)") {
     // y = 2 + 3x over 5 points.
     val xs = Array(0.0, 1.0, 2.0, 3.0, 4.0).map(Array(_))
@@ -94,7 +153,30 @@ class RidgeSpec extends AnyFunSuite {
     val w = Array.fill(20)(1.0)
     val a = Ridge.fit(xs, ys, 1e-3)
     val b = Ridge.fitWeighted(xs, ys, w, 1e-3)
-    assert(approx(a(0), b(0), 1e-9) && approx(a(1), b(1), 1e-9))
+    assert(a.sameElements(b))
+  }
+
+  test("State.add without a scale accumulates U and V bitwise as the unscaled update") {
+    for (seed <- 0 until 50) {
+      val rnd = new scala.util.Random(seed)
+      val (xs, ys) = randomRows(rnd)
+      val f = xs(0).length
+      val st = new Ridge.State(f, 1e-3); val ref = new Ridge.State(f, 1e-3)
+      xs.indices.foreach { i => st.add(xs(i), ys(i)); addUnscaled(ref, xs(i), ys(i)) }
+      assert(st.u.indices.forall(r => st.u(r).sameElements(ref.u(r))), s"U differs at seed $seed")
+      assert(st.v.sameElements(ref.v) && st.count == ref.count, s"V differs at seed $seed")
+    }
+  }
+
+  test("fitWeighted equals the hand-folded weighted accumulation bitwise, zero weights included") {
+    for (seed <- 0 until 50) {
+      val rnd = new scala.util.Random(seed)
+      val (xs, ys) = randomRows(rnd)
+      val ws = xs.map(_ => if (rnd.nextInt(4) == 0) 0.0 else rnd.nextDouble() * 3)
+      ws(0) = 1.0 // keep at least one row
+      val phi = Ridge.fitWeighted(xs, ys, ws, 1e-3)
+      assert(phi.sameElements(fitWeightedByHand(xs, ys, ws, 1e-3)), s"seed $seed")
+    }
   }
 
   test("fitWeighted zero-weight rows are ignored") {

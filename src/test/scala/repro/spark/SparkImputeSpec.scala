@@ -5,7 +5,6 @@ import repro.baselines.GlrImputer
 
 /** Relational pieces cross-checked against DuckDB via the oracle. */
 class SparkImputeSpec extends SparkSpec {
-  import org.apache.spark.sql.functions._
 
   private def round1(v: Double): Double = math.round(v * 10.0) / 10.0
 
