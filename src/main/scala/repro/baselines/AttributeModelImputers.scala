@@ -29,8 +29,9 @@ final class LoessImputer(span: Int = 30, alpha: Double = 1e-3) extends Imputer {
   override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                          queries: Array[Array[Double]], seed: Long): Array[Double] = {
     val k = math.min(math.max(span, 2 * featIdx.length + 2), complete.length)
+    val index = Neighbors.Index(complete, featIdx)
     queries.map { q =>
-      val nn = Neighbors.nearest(complete, featIdx, q, k)
+      val nn = index.nearest(q, k)
       val d = nn.map(i => Neighbors.distance(complete(i), featIdx, q))
       val dMax = math.max(d.last, 1e-12)
       val w = d.map { di => val t = math.min(di / dMax, 1.0); math.pow(1.0 - t * t * t, 3) }
@@ -90,9 +91,10 @@ final class EracerImputer(k: Int = 5, alpha: Double = 1e-3) extends Imputer {
   override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                          queries: Array[Array[Double]], seed: Long): Array[Double] = {
     val m = complete(0).length
+    val index = Neighbors.Index(complete, featIdx)
     // Training features: own F values + mean of the k neighbours' full tuples.
     def extend(q: Array[Double], exclude: Int): Array[Double] = {
-      val nn = Neighbors.nearest(complete, featIdx, q, k, exclude)
+      val nn = index.nearest(q, k, exclude)
       val agg = new Array[Double](m)
       nn.foreach { i => var a = 0; while (a < m) { agg(a) += complete(i)(a) / nn.length; a += 1 } }
       q ++ agg

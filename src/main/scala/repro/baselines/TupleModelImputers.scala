@@ -18,11 +18,13 @@ final class MeanImputer extends Imputer {
 final class KnnImputer(k: Int = 5) extends Imputer {
   override val name = "kNN"
   override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
-                         queries: Array[Array[Double]], seed: Long): Array[Double] =
+                         queries: Array[Array[Double]], seed: Long): Array[Double] = {
+    val index = Neighbors.Index(complete, featIdx)
     queries.map { q =>
-      val nn = Neighbors.nearest(complete, featIdx, q, k)
+      val nn = index.nearest(q, k)
       nn.map(i => complete(i)(targetIdx)).sum / nn.length
     }
+  }
 }
 
 /** kNN ensemble (Domeniconi & Yan): one kNN vote per leave-one-attribute-out
@@ -35,11 +37,10 @@ final class KnnEImputer(k: Int = 5) extends Imputer {
     val subsets: Array[Array[Int]] =
       if (featIdx.length <= 1) Array(Array.range(0, featIdx.length))
       else featIdx.indices.map(drop => featIdx.indices.filter(_ != drop).toArray).toArray
+    val indexes = subsets.map(sub => Neighbors.Index(complete, sub.map(featIdx)))
     queries.map { q =>
-      val votes = subsets.map { sub =>
-        val subFeat = sub.map(featIdx)
-        val subQ = sub.map(q)
-        val nn = Neighbors.nearest(complete, subFeat, subQ, k)
+      val votes = Array.tabulate(subsets.length) { s =>
+        val nn = indexes(s).nearest(subsets(s).map(q), k)
         nn.map(i => complete(i)(targetIdx)).sum / nn.length
       }
       votes.sum / votes.length
@@ -55,10 +56,11 @@ final class IllsImputer(k: Int = 10, iters: Int = 3, alpha: Double = 1e-3) exten
   override val name = "ILLS"
   override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                          queries: Array[Array[Double]], seed: Long): Array[Double] = {
-    val allIdx = featIdx :+ targetIdx
+    val byF = Neighbors.Index(complete, featIdx)
+    val byAll = Neighbors.Index(complete, featIdx :+ targetIdx)
     queries.map { q =>
       val kk = math.min(math.max(k, featIdx.length + 2), complete.length)
-      var nn = Neighbors.nearest(complete, featIdx, q, kk)
+      var nn = byF.nearest(q, kk)
       var est = nn.map(i => complete(i)(targetIdx)).sum / nn.length
       var it = 0
       while (it < iters) {
@@ -67,7 +69,7 @@ final class IllsImputer(k: Int = 10, iters: Int = 3, alpha: Double = 1e-3) exten
         val phi = Ridge.fit(xs, ys, alpha)
         est = Ridge.predict(phi, q)
         // Re-select neighbours using the estimate on the full attribute set.
-        nn = Neighbors.nearest(complete, allIdx, q :+ est, kk)
+        nn = byAll.nearest(q :+ est, kk)
         it += 1
       }
       est

@@ -58,13 +58,12 @@ object IIM {
   /** Full sorted learning-neighbour list (self included, at distance 0) for
     * every tuple, truncated at `limit` entries.
     */
-  def neighborLists(data: Array[Array[Double]], featIdx: Array[Int], limit: Int): Array[Array[Int]] = {
-    val n = data.length
-    val c = math.min(limit, n)
-    Array.tabulate(n) { i =>
-      Neighbors.nearest(data, featIdx, Neighbors.project(data(i), featIdx), c)
-    }
-  }
+  def neighborLists(data: Array[Array[Double]], featIdx: Array[Int], limit: Int): Array[Array[Int]] =
+    neighborLists(Neighbors.Index(data, featIdx), limit)
+
+  /** [[neighborLists]] over a prebuilt index. */
+  def neighborLists(index: Neighbors.Index, limit: Int): Array[Array[Int]] =
+    Array.tabulate(index.data.length)(i => index.nearestTo(i, limit))
 
   /** Algorithm 1: learn one model per tuple over a fixed number ℓ of
     * learning neighbours.
@@ -215,9 +214,14 @@ object IIM {
   /** Algorithm 3 end-to-end with incremental computation, one stage over all
     * tuples at a time (the same per-tuple functions as [[adaptiveFor]]).
     */
-  def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
+  def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] =
+    adaptive(Neighbors.Index(data, featIdx), targetIdx, p)
+
+  /** [[adaptive]] over a prebuilt index of the complete relation. */
+  def adaptive(index: Neighbors.Index, targetIdx: Int, p: Params): Array[Vec] = {
+    val data = index.data; val featIdx = index.featIdx
     val ls = ellCandidates(data.length, p.lMax, p.step)
-    val lists = neighborLists(data, featIdx, listLength(data.length, ls, p))
+    val lists = neighborLists(index, listLength(data.length, ls, p))
     val models = candidateModels(data, featIdx, targetIdx, lists, ls, p.alpha)
     selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
   }
@@ -259,18 +263,26 @@ object IIM {
     * complete tuples' individual models.
     */
   def imputeOne(data: Array[Array[Double]], models: Array[Vec], featIdx: Array[Int],
-                qF: Array[Double], k: Int): Double = {
-    val nn = Neighbors.nearest(data, featIdx, qF, k)
-    combine(nn.map(i => Ridge.predict(models(i), qF)))
-  }
+                qF: Array[Double], k: Int): Double =
+    vote(models, Neighbors.nearest(data, featIdx, qF, k), qF)
 
-  /** [[Imputer]] adapter running the full local pipeline. */
+  /** [[imputeOne]] with the neighbours looked up in a prebuilt index. */
+  def imputeOne(index: Neighbors.Index, models: Array[Vec], qF: Array[Double], k: Int): Double =
+    vote(models, index.nearest(qF, k), qF)
+
+  private def vote(models: Array[Vec], nn: Array[Int], qF: Array[Double]): Double =
+    combine(nn.map(i => Ridge.predict(models(i), qF)))
+
+  /** [[Imputer]] adapter running the full local pipeline over one index of
+    * the complete relation, shared by learning and every query.
+    */
   final class LocalImputer(p: Params) extends Imputer {
     override def name: String = "IIM"
     override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                            queries: Array[Array[Double]], seed: Long): Array[Double] = {
-      val models = adaptive(complete, featIdx, targetIdx, p)
-      queries.map(q => imputeOne(complete, models, featIdx, q, p.k))
+      val index = Neighbors.Index(complete, featIdx)
+      val models = adaptive(index, targetIdx, p)
+      queries.map(q => imputeOne(index, models, q, p.k))
     }
   }
 }

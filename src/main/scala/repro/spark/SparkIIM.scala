@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{IIM, Imputer, Neighbors}
@@ -7,7 +8,9 @@ import repro.linalg.LinAlg.Vec
 
 /** Spark-parallel IIM, per the DataFrame-first layering in DESIGN.md §1.
   *
-  * The complete relation is small (≤100k short rows) and is broadcast.
+  * The complete relation is small (≤100k short rows). The driver builds one
+  * [[Neighbors.Index]] over it and broadcasts it; every neighbour lookup of
+  * both phases reads that broadcast.
   * Adaptive learning (Algorithm 3) is a fan-out over the same per-tuple
   * functions [[IIM.adaptive]] runs, in two `mapPartitions` jobs over
   * `spark.range(n)`, with no shuffle:
@@ -28,47 +31,52 @@ object SparkIIM {
     * bitwise identical to [[IIM.adaptive]] (asserted in tests).
     */
   def adaptiveModels(spark: SparkSession, data: Array[Array[Double]], featIdx: Array[Int],
-                     targetIdx: Int, p: IIM.Params): Array[Vec] = {
+                     targetIdx: Int, p: IIM.Params): Array[Vec] =
+    adaptiveModels(spark, spark.sparkContext.broadcast(Neighbors.Index(data, featIdx)), targetIdx, p)
+
+  private def adaptiveModels(spark: SparkSession, bcIndex: Broadcast[Neighbors.Index], targetIdx: Int,
+                             p: IIM.Params): Array[Vec] = {
     import spark.implicits._
     val sc = spark.sparkContext
-    val n = data.length
+    val n = bcIndex.value.data.length
     val ls = IIM.ellCandidates(n, p.lMax, p.step)
     val limit = IIM.listLength(n, ls, p)
-    val bcData = sc.broadcast(data)
-    val bcFeat = sc.broadcast(featIdx)
 
     val lists = new Array[Array[Int]](n)
     spark.range(n.toLong).as[Long].mapPartitions { it =>
-      val d = bcData.value; val fi = bcFeat.value
-      it.map(i => (i.toInt, Neighbors.nearest(d, fi, Neighbors.project(d(i.toInt), fi), limit)))
+      val index = bcIndex.value
+      it.map(i => (i.toInt, index.nearestTo(i.toInt, limit)))
     }.collect().foreach { case (i, list) => lists(i) = list }
 
     val bcLists = sc.broadcast(lists)
     val bcRev = sc.broadcast(IIM.reverseLists(lists, p.kvEff))
     val models = new Array[Vec](n)
     spark.range(n.toLong).as[Long].mapPartitions { it =>
-      val d = bcData.value; val fi = bcFeat.value; val nn = bcLists.value; val rev = bcRev.value
+      val index = bcIndex.value; val nn = bcLists.value; val rev = bcRev.value
       it.map { iL =>
         val i = iL.toInt
-        (i, IIM.adaptiveFor(d, fi, targetIdx, nn(i), rev(i), ls, p.alpha))
+        (i, IIM.adaptiveFor(index.data, index.featIdx, targetIdx, nn(i), rev(i), ls, p.alpha))
       }
     }.collect().foreach { case (i, phi) => models(i) = phi }
     models
   }
 
   /** Algorithm 2 as a DataFrame UDF: rows of `df` whose `targetCol` is
-    * NULL/NaN are imputed from the broadcast complete relation and models.
-    * `featCols` must be in the same order as `featIdx` used at learning time.
+    * NULL/NaN are imputed from the broadcast index of the complete relation
+    * and models. `featCols` must be in the same order as `featIdx` used at
+    * learning time.
     */
   def impute(spark: SparkSession, df: DataFrame, featCols: Seq[String], targetCol: String,
              complete: Array[Array[Double]], featIdx: Array[Int], models: Array[Vec],
-             k: Int): DataFrame = {
-    val sc = spark.sparkContext
-    val bcData = sc.broadcast(complete)
-    val bcModels = sc.broadcast(models)
-    val bcFeat = sc.broadcast(featIdx)
+             k: Int): DataFrame =
+    impute(spark, df, featCols, targetCol, spark.sparkContext.broadcast(Neighbors.Index(complete, featIdx)),
+      models, k)
+
+  private def impute(spark: SparkSession, df: DataFrame, featCols: Seq[String], targetCol: String,
+                     bcIndex: Broadcast[Neighbors.Index], models: Array[Vec], k: Int): DataFrame = {
+    val bcModels = spark.sparkContext.broadcast(models)
     val imputeUdf = udf { (xs: Seq[Double]) =>
-      IIM.imputeOne(bcData.value, bcModels.value, bcFeat.value, xs.toArray, k)
+      IIM.imputeOne(bcIndex.value, bcModels.value, xs.toArray, k)
     }
     val target = col(targetCol)
     df.withColumn(
@@ -78,18 +86,20 @@ object SparkIIM {
   }
 
   /** End-to-end convenience: learn on `complete`, impute the projected
-    * queries through the DataFrame path, return values in query order.
+    * queries through the DataFrame path, return values in query order. One
+    * index, built on the driver and broadcast once, serves both.
     */
   def imputeValues(spark: SparkSession, complete: Array[Array[Double]], featIdx: Array[Int],
                    targetIdx: Int, queries: Array[Array[Double]], p: IIM.Params): Array[Double] = {
     import spark.implicits._
-    val models = adaptiveModels(spark, complete, featIdx, targetIdx, p)
+    val bcIndex = spark.sparkContext.broadcast(Neighbors.Index(complete, featIdx))
+    val models = adaptiveModels(spark, bcIndex, targetIdx, p)
     val featCols = featIdx.indices.map(a => s"f$a")
     val qDf = spark.createDataset(queries.indices.map(id => (id, queries(id).toSeq)))
       .toDF("id", "fs")
       .select(col("id") +: featCols.zipWithIndex.map { case (c, a) => col("fs").getItem(a).as(c) }: _*)
       .withColumn("y", lit(Double.NaN))
-    val out = impute(spark, qDf, featCols, "y", complete, featIdx, models, p.k)
+    val out = impute(spark, qDf, featCols, "y", bcIndex, models, p.k)
       .select("id", "y").collect()
     val res = new Array[Double](queries.length)
     out.foreach(r => res(r.getInt(0)) = r.getDouble(1))

@@ -35,6 +35,18 @@ class SparkIIMSpec extends SparkSpec {
     }
   }
 
+  private def assertSameBits(a: Array[Double], b: Array[Double]): Unit = {
+    assert(a.length == b.length)
+    for (i <- a.indices)
+      assert(java.lang.Double.doubleToRawLongBits(a(i)) == java.lang.Double.doubleToRawLongBits(b(i)),
+        s"query $i: ${a(i)} vs ${b(i)}")
+  }
+
+  private def assertSameImputations(data: Array[Array[Double]], fi: Array[Int], ti: Int,
+                                    queries: Array[Array[Double]], p: IIM.Params): Unit =
+    assertSameBits(SparkIIM.imputeValues(spark, data, fi, ti, queries, p),
+      new IIM.LocalImputer(p).imputeAll(data, fi, ti, queries, 0L))
+
   test("adaptiveModels equals the local IIM.adaptive models") {
     assertSameModels(randomData(80, 3, 1), Array(0, 1), 2, p)
     // n ≤ kv and k ≥ n, with repeated rows and a constant feature; then n = 1.
@@ -67,10 +79,10 @@ class SparkIIMSpec extends SparkSpec {
     val fi = Array(0, 1); val ti = 2
     val rnd = new scala.util.Random(3)
     val queries = Array.fill(10)(Array(rnd.nextDouble() * 10, rnd.nextDouble() * 10))
-    val viaSpark = SparkIIM.imputeValues(spark, data, fi, ti, queries, p)
-    val local = new IIM.LocalImputer(p).imputeAll(data, fi, ti, queries, 0L)
-    for (i <- queries.indices)
-      assert(math.abs(viaSpark(i) - local(i)) < 1e-8, s"query $i: ${viaSpark(i)} vs ${local(i)}")
+    assertSameImputations(data, fi, ti, queries, p)
+    // Duplicate rows, a constant feature and k ≥ n; queries on and off the rows.
+    val dup = edgeData(7, 3, constant = true, 11)
+    assertSameImputations(dup, fi, ti, dup.map(r => Array(r(0), r(1))) ++ queries, IIM.Params(k = 9, lMax = 10, kv = 20))
   }
 
   test("impute UDF only touches NULL/NaN targets") {
@@ -101,7 +113,7 @@ class SparkIIMSpec extends SparkSpec {
     val got = SparkIIM.impute(spark, df, Seq("f0", "f1"), "y", data, fi, models, p.k)
       .collect()(0).getDouble(3)
     val want = IIM.imputeOne(data, models, fi, Array(2.5, 7.5), p.k)
-    assert(math.abs(got - want) < 1e-12)
+    assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want), s"$got vs $want")
   }
 
   test("SparkImputer adapter matches LocalImputer on a small problem") {
@@ -111,7 +123,28 @@ class SparkIIMSpec extends SparkSpec {
     val queries = Array.fill(6)(Array.fill(3)(rnd.nextDouble() * 10))
     val a = new SparkIIM.SparkImputer(spark, p).imputeAll(data, fi, ti, queries, 0L)
     val b = new IIM.LocalImputer(p).imputeAll(data, fi, ti, queries, 0L)
-    for (i <- queries.indices) assert(math.abs(a(i) - b(i)) < 1e-8)
+    assertSameBits(a, b)
+  }
+
+  test("a non-finite feature in the complete relation is rejected with its row and column") {
+    val data = randomData(30, 3, 12)
+    data(17)(1) = Double.NaN
+    val queries = Array(Array(1.0, 2.0))
+    for (imputer <- Seq(new IIM.LocalImputer(p), new SparkIIM.SparkImputer(spark, p))) {
+      val e = intercept[IllegalArgumentException](imputer.imputeAll(data, Array(0, 1), 2, queries, 0L))
+      assert(e.getMessage.contains("row 17 column 1"), e.getMessage)
+    }
+  }
+
+  test("a non-finite query feature is rejected with its position") {
+    val data = randomData(30, 3, 13)
+    val queries = Array(Array(1.0, 2.0), Array(3.0, Double.PositiveInfinity))
+    for (imputer <- Seq(new IIM.LocalImputer(p), new SparkIIM.SparkImputer(spark, p))) {
+      // The Spark UDF's error arrives wrapped in Spark's own exception.
+      val e = intercept[Exception](imputer.imputeAll(data, Array(0, 1), 2, queries, 0L))
+      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).toList
+      assert(messages.exists(m => m != null && m.contains("query feature 1 is not finite")), messages)
+    }
   }
 
   test("SparkImputer reports the paper's method name") {
