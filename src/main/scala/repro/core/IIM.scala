@@ -55,6 +55,16 @@ object IIM {
     */
   def listLength(n: Int, ls: Array[Int], p: Params): Int = math.min(math.max(ls.last, p.kvEff + 1), n)
 
+  /** Rejects a complete relation with a non-finite target value, naming its
+    * row and column. [[Neighbors.Index]] checks only the feature columns, and
+    * a NaN target would enter V of every model whose list holds its row; both
+    * learning paths call this once, on the driver.
+    */
+  private[repro] def requireFiniteTargets(data: Array[Array[Double]], targetIdx: Int): Unit = {
+    var i = 0
+    while (i < data.length) { Neighbors.requireFinite(data(i)(targetIdx), i, targetIdx); i += 1 }
+  }
+
   /** Full sorted learning-neighbour list (self included, at distance 0) for
     * every tuple, truncated at `limit` entries.
     */
@@ -220,17 +230,10 @@ object IIM {
   /** [[adaptive]] over a prebuilt index of the complete relation. */
   def adaptive(index: Neighbors.Index, targetIdx: Int, p: Params): Array[Vec] = {
     val data = index.data; val featIdx = index.featIdx
+    requireFiniteTargets(data, targetIdx)
     val ls = ellCandidates(data.length, p.lMax, p.step)
     val lists = neighborLists(index, listLength(data.length, ls, p))
     val models = candidateModels(data, featIdx, targetIdx, lists, ls, p.alpha)
-    selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
-  }
-
-  /** Algorithm 3 as written (from-scratch learning per ℓ); for tests/timing. */
-  def adaptiveNaive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] = {
-    val ls = ellCandidates(data.length, p.lMax, p.step)
-    val lists = neighborLists(data, featIdx, listLength(data.length, ls, p))
-    val models = candidateModelsNaive(data, featIdx, targetIdx, lists, ls, p.alpha)
     selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
   }
 

@@ -60,6 +60,10 @@ object Neighbors {
     best.sorted()
   }
 
+  /** Rejects a non-finite value at `row`, `column` of the complete relation, naming both. */
+  private[core] def requireFinite(v: Double, row: Int, column: Int): Unit =
+    require(java.lang.Double.isFinite(v), s"complete relation: row $row column $column is not finite ($v)")
+
   /** Project a full row onto the feature indices. */
   def project(row: Array[Double], featIdx: Array[Int]): Array[Double] = {
     val out = new Array[Double](featIdx.length)
@@ -244,7 +248,7 @@ object Neighbors {
         var a = 0
         while (a < f) {
           val v = data(i)(featIdx(a))
-          require(java.lang.Double.isFinite(v), s"complete relation: row $i column ${featIdx(a)} is not finite ($v)")
+          requireFinite(v, i, featIdx(a))
           raw(i * f + a) = v
           a += 1
         }

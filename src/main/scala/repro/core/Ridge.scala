@@ -11,9 +11,8 @@ import repro.linalg.LinAlg.{Mat, Vec}
   * U = XᵀX and V = XᵀY so that rows can be appended one at a time — exactly
   * Proposition 3 of the paper, which makes the per-ℓ learning cost constant
   * instead of linear in ℓ — and [[Ridge.solve]] is the one regularised solve.
-  * Every in-core ridge fit (IIM and the regression baselines) accumulates
-  * through `State`; the Spark GLR, whose U and V are SQL sums, and the SVD
-  * baseline share only the solve.
+  * Every ridge fit (IIM and the regression baselines) accumulates through
+  * `State`; the SVD baseline shares only the solve.
   */
 object Ridge {
 

@@ -31,38 +31,6 @@ object LinAlg {
     s
   }
 
-  /** Matrix–vector product. */
-  def matVec(a: Mat, x: Vec): Vec = a.map(row => dot(row, x))
-
-  /** Matrix–matrix product. */
-  def matMul(a: Mat, b: Mat): Mat = {
-    val n = a.length; val m = b.length; val p = b(0).length
-    val out = zeros(n, p)
-    var i = 0
-    while (i < n) {
-      var k = 0
-      while (k < m) {
-        val aik = a(i)(k)
-        if (aik != 0.0) {
-          var j = 0
-          while (j < p) { out(i)(j) += aik * b(k)(j); j += 1 }
-        }
-        k += 1
-      }
-      i += 1
-    }
-    out
-  }
-
-  /** Transpose. */
-  def transpose(a: Mat): Mat = {
-    val n = a.length; val m = a(0).length
-    val out = zeros(m, n)
-    var i = 0
-    while (i < n) { var j = 0; while (j < m) { out(j)(i) = a(i)(j); j += 1 }; i += 1 }
-    out
-  }
-
   /** Solve A·x = b by Gaussian elimination with partial pivoting.
     * Inputs are not mutated. Throws on (numerically) singular A.
     */

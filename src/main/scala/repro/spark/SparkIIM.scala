@@ -38,6 +38,7 @@ object SparkIIM {
                              p: IIM.Params): Array[Vec] = {
     import spark.implicits._
     val sc = spark.sparkContext
+    IIM.requireFiniteTargets(bcIndex.value.data, targetIdx)
     val n = bcIndex.value.data.length
     val ls = IIM.ellCandidates(n, p.lMax, p.step)
     val limit = IIM.listLength(n, ls, p)
@@ -64,7 +65,8 @@ object SparkIIM {
   /** Algorithm 2 as a DataFrame UDF: rows of `df` whose `targetCol` is
     * NULL/NaN are imputed from the broadcast index of the complete relation
     * and models. `featCols` must be in the same order as `featIdx` used at
-    * learning time.
+    * learning time. Such a row with a NULL feature fails the query with an
+    * error naming the feature column.
     */
   def impute(spark: SparkSession, df: DataFrame, featCols: Seq[String], targetCol: String,
              complete: Array[Array[Double]], featIdx: Array[Int], models: Array[Vec],
@@ -79,10 +81,12 @@ object SparkIIM {
       IIM.imputeOne(bcIndex.value, bcModels.value, xs.toArray, k)
     }
     val target = col(targetCol)
-    df.withColumn(
-      targetCol,
-      when(target.isNull || isnan(target), imputeUdf(array(featCols.map(col): _*)))
-        .otherwise(target))
+    // A NULL feature cannot enter the UDF's Seq[Double]; name its column instead.
+    val imputed = featCols.foldRight(imputeUdf(array(featCols.map(col): _*))) { (c, rest) =>
+      when(col(c).isNull, raise_error(lit(s"feature column $c is NULL on a row whose $targetCol is missing")))
+        .otherwise(rest)
+    }
+    df.withColumn(targetCol, when(target.isNull || isnan(target), imputed).otherwise(target))
   }
 
   /** End-to-end convenience: learn on `complete`, impute the projected

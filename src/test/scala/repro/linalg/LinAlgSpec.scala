@@ -7,11 +7,15 @@ class LinAlgSpec extends AnyFunSuite {
 
   private def approx(a: Double, b: Double, eps: Double = 1e-9): Boolean = math.abs(a - b) <= eps
 
+  /** The product A·B, to check results against. */
+  private def mul(a: Mat, b: Mat): Mat =
+    Array.tabulate(a.length, b(0).length)((i, j) => b.indices.map(k => a(i)(k) * b(k)(j)).sum)
+
   /** Random SPD matrix A = BᵀB + I. */
   private def spd(n: Int, seed: Long): Mat = {
     val rnd = new scala.util.Random(seed)
     val b = Array.fill(n, n)(rnd.nextDouble() * 2 - 1)
-    val a = matMul(transpose(b), b)
+    val a = mul(b.transpose, b)
     for (i <- 0 until n) a(i)(i) += 1.0
     a
   }
@@ -40,30 +44,6 @@ class LinAlgSpec extends AnyFunSuite {
 
   test("dot matches manual sum") {
     assert(dot(Array(1.0, 2.0, 3.0), Array(4.0, 5.0, 6.0)) == 32.0)
-  }
-
-  test("matVec multiplies correctly") {
-    val a = Array(Array(1.0, 2.0), Array(3.0, 4.0))
-    assert(matVec(a, Array(1.0, 1.0)).sameElements(Array(3.0, 7.0)))
-  }
-
-  test("matMul matches known product") {
-    val a = Array(Array(1.0, 2.0), Array(3.0, 4.0))
-    val b = Array(Array(5.0, 6.0), Array(7.0, 8.0))
-    val c = matMul(a, b)
-    assert(c(0).sameElements(Array(19.0, 22.0)) && c(1).sameElements(Array(43.0, 50.0)))
-  }
-
-  test("matMul with identity is a no-op") {
-    val a = Array(Array(1.0, 2.0), Array(3.0, 4.0))
-    val c = matMul(a, eye(2))
-    assert(c(0).sameElements(a(0)) && c(1).sameElements(a(1)))
-  }
-
-  test("transpose flips indices") {
-    val a = Array(Array(1.0, 2.0, 3.0), Array(4.0, 5.0, 6.0))
-    val t = transpose(a)
-    assert(t.length == 3 && t(2)(1) == 6.0 && t(0)(0) == 1.0)
   }
 
   test("solve recovers a known solution") {
@@ -96,7 +76,7 @@ class LinAlgSpec extends AnyFunSuite {
       val a = spd(n, seed)
       val rnd = new scala.util.Random(seed + 1000)
       val x = Array.fill(n)(rnd.nextDouble() * 4 - 2)
-      val got = solve(a, matVec(a, x))
+      val got = solve(a, a.map(dot(_, x)))
       assert(x.indices.forall(i => approx(got(i), x(i), 1e-7)), s"seed=$seed")
     }
   }
@@ -104,7 +84,7 @@ class LinAlgSpec extends AnyFunSuite {
   test("cholesky factors a known SPD matrix") {
     val a = Array(Array(4.0, 2.0), Array(2.0, 3.0))
     val l = cholesky(a)
-    val back = matMul(l, transpose(l))
+    val back = mul(l, l.transpose)
     for (i <- 0 until 2; j <- 0 until 2) assert(approx(back(i)(j), a(i)(j)))
   }
 
@@ -112,7 +92,7 @@ class LinAlgSpec extends AnyFunSuite {
     for (seed <- 1 to 20) {
       val a = spd(1 + seed % 5, seed)
       val l = cholesky(a)
-      val back = matMul(l, transpose(l))
+      val back = mul(l, l.transpose)
       for (i <- a.indices; j <- a.indices) assert(approx(back(i)(j), a(i)(j), 1e-8), s"seed=$seed")
     }
   }
@@ -140,7 +120,7 @@ class LinAlgSpec extends AnyFunSuite {
       val (vals, vecs) = symEigen(a)
       for (j <- 0 until n) {
         val v = Array.tabulate(n)(i => vecs(i)(j))
-        val av = matVec(a, v)
+        val av = a.map(dot(_, v))
         for (i <- 0 until n) assert(approx(av(i), vals(j) * v(i), 1e-6), s"seed=$seed")
         assert(approx(dot(v, v), 1.0, 1e-6))
       }

@@ -127,12 +127,15 @@ class SparkIIMSpec extends SparkSpec {
   }
 
   test("a non-finite feature in the complete relation is rejected with its row and column") {
-    val data = randomData(30, 3, 12)
-    data(17)(1) = Double.NaN
     val queries = Array(Array(1.0, 2.0))
-    for (imputer <- Seq(new IIM.LocalImputer(p), new SparkIIM.SparkImputer(spark, p))) {
-      val e = intercept[IllegalArgumentException](imputer.imputeAll(data, Array(0, 1), 2, queries, 0L))
-      assert(e.getMessage.contains("row 17 column 1"), e.getMessage)
+    // A feature value, then a target value, which the index does not read.
+    for ((row, column, where) <- Seq((17, 1, "row 17 column 1"), (23, 2, "row 23 column 2"))) {
+      val data = randomData(30, 3, 12)
+      data(row)(column) = Double.NaN
+      for (imputer <- Seq(new IIM.LocalImputer(p), new SparkIIM.SparkImputer(spark, p))) {
+        val e = intercept[IllegalArgumentException](imputer.imputeAll(data, Array(0, 1), 2, queries, 0L))
+        assert(e.getMessage.contains(where), e.getMessage)
+      }
     }
   }
 
@@ -145,6 +148,24 @@ class SparkIIMSpec extends SparkSpec {
       val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).toList
       assert(messages.exists(m => m != null && m.contains("query feature 1 is not finite")), messages)
     }
+  }
+
+  test("a NULL feature on a row whose target is missing is rejected with its column") {
+    val spark0 = spark
+    import spark0.implicits._
+    val data = randomData(30, 3, 14)
+    val fi = Array(0, 1)
+    val models = IIM.adaptive(data, fi, 2, p)
+    val df = Seq[(Int, Option[Double], Option[Double], Double)](
+      (1, Some(1.0), None, 42.0),
+      (2, Some(3.0), None, Double.NaN),
+    ).toDF("id", "f0", "f1", "y")
+    // With the target present the row is left as it is.
+    val kept = SparkIIM.impute(spark, df.where($"id" === 1), Seq("f0", "f1"), "y", data, fi, models, p.k).collect()
+    assert(kept(0).getDouble(3) == 42.0)
+    val e = intercept[Exception](SparkIIM.impute(spark, df, Seq("f0", "f1"), "y", data, fi, models, p.k).collect())
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).toList
+    assert(messages.exists(m => m != null && m.contains("feature column f1 is NULL")), messages)
   }
 
   test("SparkImputer reports the paper's method name") {
