@@ -65,6 +65,24 @@ object IIM {
     while (i < data.length) { Neighbors.requireFinite(data(i)(targetIdx), i, targetIdx); i += 1 }
   }
 
+  /** Rejects a batch of projected queries on the driver, before the index,
+    * learning or any Spark job: each must have `nFeatures` finite values.
+    * The error names the query row and the feature position.
+    */
+  private[repro] def requireQueries(queries: Array[Array[Double]], nFeatures: Int): Unit = {
+    var i = 0
+    while (i < queries.length) {
+      val q = queries(i)
+      require(q.length == nFeatures, s"query $i has ${q.length} features, expected $nFeatures")
+      var a = 0
+      while (a < q.length) {
+        require(java.lang.Double.isFinite(q(a)), s"query $i: query feature $a is not finite (${q(a)})")
+        a += 1
+      }
+      i += 1
+    }
+  }
+
   /** Full sorted learning-neighbour list (self included, at distance 0) for
     * every tuple, truncated at `limit` entries.
     */
@@ -283,6 +301,7 @@ object IIM {
     override def name: String = "IIM"
     override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                            queries: Array[Array[Double]], seed: Long): Array[Double] = {
+      requireQueries(queries, featIdx.length)
       val index = Neighbors.Index(complete, featIdx)
       val models = adaptive(index, targetIdx, p)
       queries.map(q => imputeOne(index, models, q, p.k))

@@ -1,29 +1,30 @@
 package repro.spark
 
+import scala.reflect.ClassTag
+
+import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{IIM, Imputer, Neighbors}
 import repro.linalg.LinAlg.Vec
 
-/** Spark-parallel IIM, per the DataFrame-first layering in DESIGN.md §1.
+/** Spark-parallel IIM, per the layering in DESIGN.md §1.
   *
   * The complete relation is small (≤100k short rows). The driver builds one
-  * [[Neighbors.Index]] over it and broadcasts it; every neighbour lookup of
-  * both phases reads that broadcast.
-  * Adaptive learning (Algorithm 3) is a fan-out over the same per-tuple
-  * functions [[IIM.adaptive]] runs, in two `mapPartitions` jobs over
-  * `spark.range(n)`, with no shuffle:
+  * [[Neighbors.Index]] over it and broadcasts it; every neighbour lookup
+  * reads that broadcast. Learning and imputation have no cross-record step,
+  * so each phase is one shuffle-free [[perTuple]] job over the functions the
+  * local path runs, and every result is bitwise equal to the local path:
   *
-  *  - job 1 computes each tuple's neighbour list once and collects it; the
-  *    driver builds the reverse lists ([[IIM.reverseLists]]) and broadcasts
-  *    both;
-  *  - job 2 runs [[IIM.adaptiveFor]] per tuple (Proposition-3 learning,
-  *    validation over its reverse list, argmin) and returns only the chosen
-  *    model.
+  *  - "IIM neighbour lists" computes each tuple's list once; the driver
+  *    builds the reverse lists ([[IIM.reverseLists]]) and broadcasts both;
+  *  - "IIM Algorithm 3" runs [[IIM.adaptiveFor]] per tuple and returns only
+  *    the chosen model;
+  *  - "IIM Algorithm 2" ([[imputeValues]]) runs [[IIM.imputeOne]] per query.
   *
-  * Imputation (Algorithm 2) is a scalar UDF over the feature array, applied
-  * only where the target column is NULL/NaN.
+  * [[impute]] is the DataFrame entry point: a scalar UDF applied only where
+  * the target column is NULL/NaN.
   */
 object SparkIIM {
 
@@ -32,34 +33,33 @@ object SparkIIM {
     */
   def adaptiveModels(spark: SparkSession, data: Array[Array[Double]], featIdx: Array[Int],
                      targetIdx: Int, p: IIM.Params): Array[Vec] =
-    adaptiveModels(spark, spark.sparkContext.broadcast(Neighbors.Index(data, featIdx)), targetIdx, p)
+    adaptiveModels(spark.sparkContext, spark.sparkContext.broadcast(Neighbors.Index(data, featIdx)), targetIdx, p)
 
-  private def adaptiveModels(spark: SparkSession, bcIndex: Broadcast[Neighbors.Index], targetIdx: Int,
+  private def adaptiveModels(sc: SparkContext, bcIndex: Broadcast[Neighbors.Index], targetIdx: Int,
                              p: IIM.Params): Array[Vec] = {
-    import spark.implicits._
-    val sc = spark.sparkContext
     IIM.requireFiniteTargets(bcIndex.value.data, targetIdx)
     val n = bcIndex.value.data.length
     val ls = IIM.ellCandidates(n, p.lMax, p.step)
     val limit = IIM.listLength(n, ls, p)
-
-    val lists = new Array[Array[Int]](n)
-    spark.range(n.toLong).as[Long].mapPartitions { it =>
-      val index = bcIndex.value
-      it.map(i => (i.toInt, index.nearestTo(i.toInt, limit)))
-    }.collect().foreach { case (i, list) => lists(i) = list }
-
+    val lists = perTuple(sc, s"IIM neighbour lists (n = $n)", n)(i => bcIndex.value.nearestTo(i, limit))
     val bcLists = sc.broadcast(lists)
     val bcRev = sc.broadcast(IIM.reverseLists(lists, p.kvEff))
-    val models = new Array[Vec](n)
-    spark.range(n.toLong).as[Long].mapPartitions { it =>
-      val index = bcIndex.value; val nn = bcLists.value; val rev = bcRev.value
-      it.map { iL =>
-        val i = iL.toInt
-        (i, IIM.adaptiveFor(index.data, index.featIdx, targetIdx, nn(i), rev(i), ls, p.alpha))
-      }
-    }.collect().foreach { case (i, phi) => models(i) = phi }
-    models
+    perTuple(sc, s"IIM Algorithm 3 (n = $n)", n) { i =>
+      val index = bcIndex.value
+      IIM.adaptiveFor(index.data, index.featIdx, targetIdx, bcLists.value(i), bcRev.value(i), ls, p.alpha)
+    }
+  }
+
+  /** `f` over the ids `0 until n` in one job described as `phase`, results in
+    * id order (`collect` keeps partition order). `f` may read broadcasts
+    * only. The caller's job description, the local property
+    * `setJobDescription` writes, is restored afterwards.
+    */
+  private def perTuple[T: ClassTag](sc: SparkContext, phase: String, n: Int)(f: Int => T): Array[T] = {
+    val caller = sc.getLocalProperty("spark.job.description")
+    sc.setJobDescription(phase)
+    try sc.parallelize(0 until n, sc.defaultParallelism).map(f).collect()
+    finally sc.setJobDescription(caller)
   }
 
   /** Algorithm 2 as a DataFrame UDF: rows of `df` whose `targetCol` is
@@ -70,13 +70,10 @@ object SparkIIM {
     */
   def impute(spark: SparkSession, df: DataFrame, featCols: Seq[String], targetCol: String,
              complete: Array[Array[Double]], featIdx: Array[Int], models: Array[Vec],
-             k: Int): DataFrame =
-    impute(spark, df, featCols, targetCol, spark.sparkContext.broadcast(Neighbors.Index(complete, featIdx)),
-      models, k)
-
-  private def impute(spark: SparkSession, df: DataFrame, featCols: Seq[String], targetCol: String,
-                     bcIndex: Broadcast[Neighbors.Index], models: Array[Vec], k: Int): DataFrame = {
-    val bcModels = spark.sparkContext.broadcast(models)
+             k: Int): DataFrame = {
+    val sc = spark.sparkContext
+    val bcIndex = sc.broadcast(Neighbors.Index(complete, featIdx))
+    val bcModels = sc.broadcast(models)
     val imputeUdf = udf { (xs: Seq[Double]) =>
       IIM.imputeOne(bcIndex.value, bcModels.value, xs.toArray, k)
     }
@@ -89,25 +86,20 @@ object SparkIIM {
     df.withColumn(targetCol, when(target.isNull || isnan(target), imputed).otherwise(target))
   }
 
-  /** End-to-end convenience: learn on `complete`, impute the projected
-    * queries through the DataFrame path, return values in query order. One
-    * index, built on the driver and broadcast once, serves both.
+  /** End-to-end convenience: learn on `complete`, then impute the projected
+    * queries in one Algorithm 2 job; values in query order. A bad query is
+    * rejected on the driver before any job starts. One index, built on the
+    * driver and broadcast once, serves every phase.
     */
   def imputeValues(spark: SparkSession, complete: Array[Array[Double]], featIdx: Array[Int],
                    targetIdx: Int, queries: Array[Array[Double]], p: IIM.Params): Array[Double] = {
-    import spark.implicits._
-    val bcIndex = spark.sparkContext.broadcast(Neighbors.Index(complete, featIdx))
-    val models = adaptiveModels(spark, bcIndex, targetIdx, p)
-    val featCols = featIdx.indices.map(a => s"f$a")
-    val qDf = spark.createDataset(queries.indices.map(id => (id, queries(id).toSeq)))
-      .toDF("id", "fs")
-      .select(col("id") +: featCols.zipWithIndex.map { case (c, a) => col("fs").getItem(a).as(c) }: _*)
-      .withColumn("y", lit(Double.NaN))
-    val out = impute(spark, qDf, featCols, "y", bcIndex, models, p.k)
-      .select("id", "y").collect()
-    val res = new Array[Double](queries.length)
-    out.foreach(r => res(r.getInt(0)) = r.getDouble(1))
-    res
+    IIM.requireQueries(queries, featIdx.length)
+    val sc = spark.sparkContext
+    val bcIndex = sc.broadcast(Neighbors.Index(complete, featIdx))
+    val bcModels = sc.broadcast(adaptiveModels(sc, bcIndex, targetIdx, p))
+    val bcQueries = sc.broadcast(queries)
+    perTuple(sc, s"IIM Algorithm 2 (q = ${queries.length})", queries.length)(i =>
+      IIM.imputeOne(bcIndex.value, bcModels.value, bcQueries.value(i), p.k))
   }
 
   /** [[Imputer]] adapter that runs IIM through the Spark path. */

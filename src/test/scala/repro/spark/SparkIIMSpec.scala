@@ -1,5 +1,12 @@
 package repro.spark
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicLong
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.TestBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.scalacheck.{Gen, Prop, Test}
 import repro.SparkSpec
 import repro.core.IIM
@@ -47,6 +54,46 @@ class SparkIIMSpec extends SparkSpec {
     assertSameBits(SparkIIM.imputeValues(spark, data, fi, ti, queries, p),
       new IIM.LocalImputer(p).imputeAll(data, fi, ti, queries, 0L))
 
+  /** Data of random size with duplicate rows and, at times, a constant
+    * column, its feature count and random Params.
+    */
+  private val cases: Gen[(Array[Array[Double]], Int, IIM.Params)] = for {
+    n <- Gen.choose(1, 40)
+    distinct <- Gen.choose(1, n)
+    constant <- Gen.oneOf(false, true)
+    nFeat <- Gen.choose(1, 2)
+    k <- Gen.choose(1, 45)
+    lMax <- Gen.choose(1, 50)
+    step <- Gen.choose(1, 7)
+    kv <- Gen.choose(0, 45)
+    seed <- Gen.choose(0L, 100000L)
+  } yield (edgeData(n, distinct, constant, seed), nFeat, IIM.Params(k = k, lMax = lMax, step = step, kv = kv))
+
+  private def checkAll[T](gen: Gen[T])(check: T => Unit): Unit = {
+    val prop = Prop.forAllNoShrink(gen) { t => check(t); true }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(12).withWorkers(1), prop)
+    assert(result.passed, result.status)
+  }
+
+  /** The description and stage count of every job `body` starts, and the
+    * shuffle records its tasks write; read after draining the listener bus.
+    */
+  private def jobsOf(body: => Unit): (Seq[(String, Int)], Long) = {
+    val sc = spark.sparkContext
+    TestBus.drain(sc)
+    val jobs = new ConcurrentLinkedQueue[(String, Int)]()
+    val shuffled = new AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobs.add((Option(e.properties).map(_.getProperty("spark.job.description")).orNull, e.stageInfos.size))
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => shuffled.addAndGet(m.shuffleWriteMetrics.recordsWritten))
+    }
+    sc.addSparkListener(listener)
+    try body finally { TestBus.drain(sc); sc.removeSparkListener(listener) }
+    (jobs.asScala.toSeq, shuffled.get)
+  }
+
   test("adaptiveModels equals the local IIM.adaptive models") {
     assertSameModels(randomData(80, 3, 1), Array(0, 1), 2, p)
     // n ≤ kv and k ≥ n, with repeated rows and a constant feature; then n = 1.
@@ -55,23 +102,27 @@ class SparkIIMSpec extends SparkSpec {
   }
 
   test("adaptiveModels equals IIM.adaptive bitwise over random Params and sizes") {
-    val cases = for {
-      n <- Gen.choose(1, 40)
-      distinct <- Gen.choose(1, n)
-      constant <- Gen.oneOf(false, true)
-      nFeat <- Gen.choose(1, 2)
-      k <- Gen.choose(1, 45)
-      lMax <- Gen.choose(1, 50)
-      step <- Gen.choose(1, 7)
-      kv <- Gen.choose(0, 45)
+    checkAll(cases) { case (data, nFeat, params) => assertSameModels(data, Array.range(0, nFeat), 2, params) }
+  }
+
+  test("SparkImputer equals LocalImputer bitwise over random Params, sizes and query counts") {
+    val withQueries = for {
+      c <- cases
+      q <- Gen.frequency(1 -> Gen.const(0), 4 -> Gen.choose(1, 12))
       seed <- Gen.choose(0L, 100000L)
-    } yield (edgeData(n, distinct, constant, seed), nFeat, IIM.Params(k = k, lMax = lMax, step = step, kv = kv))
-    val prop = Prop.forAllNoShrink(cases) { case (data, nFeat, params) =>
-      assertSameModels(data, Array.range(0, nFeat), 2, params)
-      true
+    } yield {
+      val (data, nFeat, _) = c
+      val rnd = new scala.util.Random(seed)
+      // Rows of the relation (duplicates, the constant column) and points off it.
+      val queries = Array.fill(q)(
+        if (rnd.nextBoolean()) data(rnd.nextInt(data.length)).take(nFeat) else Array.fill(nFeat)(rnd.nextDouble() * 10))
+      (c, queries)
     }
-    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(12).withWorkers(1), prop)
-    assert(result.passed, result.status)
+    checkAll(withQueries) { case ((data, nFeat, params), queries) =>
+      val fi = Array.range(0, nFeat)
+      assertSameBits(new SparkIIM.SparkImputer(spark, params).imputeAll(data, fi, 2, queries, 0L),
+        new IIM.LocalImputer(params).imputeAll(data, fi, 2, queries, 0L))
+    }
   }
 
   test("imputeValues equals the local end-to-end pipeline") {
@@ -83,6 +134,23 @@ class SparkIIMSpec extends SparkSpec {
     // Duplicate rows, a constant feature and k ≥ n; queries on and off the rows.
     val dup = edgeData(7, 3, constant = true, 11)
     assertSameImputations(dup, fi, ti, dup.map(r => Array(r(0), r(1))) ++ queries, IIM.Params(k = 9, lMax = 10, kv = 20))
+    // One complete tuple; then no queries at all.
+    assertSameImputations(edgeData(1, 1, constant = false, 12), fi, ti, queries, p)
+    assert(SparkIIM.imputeValues(spark, data, fi, ti, Array.empty, p).isEmpty)
+  }
+
+  test("imputeValues runs three named jobs and no shuffle, and restores the job description") {
+    val data = randomData(40, 3, 15)
+    val queries = Array.fill(5)(Array(1.0, 2.0))
+    val sc = spark.sparkContext
+    sc.setJobDescription("caller")
+    try {
+      val (jobs, shuffled) = jobsOf(SparkIIM.imputeValues(spark, data, Array(0, 1), 2, queries, p))
+      assert(jobs == Seq(("IIM neighbour lists (n = 40)", 1), ("IIM Algorithm 3 (n = 40)", 1),
+        ("IIM Algorithm 2 (q = 5)", 1)), jobs)
+      assert(shuffled == 0L)
+      assert(sc.getLocalProperty("spark.job.description") == "caller")
+    } finally sc.setJobDescription(null)
   }
 
   test("impute UDF only touches NULL/NaN targets") {
@@ -90,17 +158,18 @@ class SparkIIMSpec extends SparkSpec {
     import spark0.implicits._
     val data = randomData(50, 3, 4)
     val fi = Array(0, 1); val ti = 2
+    val rnd = new scala.util.Random(16)
+    val queries = Array.fill(8)(Array(rnd.nextDouble() * 10, rnd.nextDouble() * 10))
+    val present = Array(42.0, -0.0, 13.0, 1e-300)
+    // Query rows carry a NULL or NaN target, the rows after them a present one.
+    val rows = queries.indices.map(i => (i, queries(i)(0), queries(i)(1), if (i % 2 == 0) None else Some(Double.NaN))) ++
+      present.indices.map(j => (queries.length + j, 1.0 + j, 2.0 + j, Some(present(j))))
+    val df = rows.toDF("id", "f0", "f1", "y")
     val models = SparkIIM.adaptiveModels(spark, data, fi, ti, p)
-    val df = Seq(
-      (1, 1.0, 2.0, 42.0),
-      (2, 3.0, 4.0, Double.NaN),
-      (3, 5.0, 6.0, 13.0),
-    ).toDF("id", "f0", "f1", "y")
     val out = SparkIIM.impute(spark, df, Seq("f0", "f1"), "y", data, fi, models, p.k)
-      .orderBy("id").collect()
-    assert(out(0).getDouble(3) == 42.0)
-    assert(!out(1).getDouble(3).isNaN)
-    assert(out(2).getDouble(3) == 13.0)
+      .orderBy("id").collect().map(_.getDouble(3))
+    assertSameBits(out.take(queries.length), SparkIIM.imputeValues(spark, data, fi, ti, queries, p))
+    assertSameBits(out.drop(queries.length), present)
   }
 
   test("imputed value equals the local Algorithm 2 result for the same models") {
@@ -141,12 +210,17 @@ class SparkIIMSpec extends SparkSpec {
 
   test("a non-finite query feature is rejected with its position") {
     val data = randomData(30, 3, 13)
-    val queries = Array(Array(1.0, 2.0), Array(3.0, Double.PositiveInfinity))
-    for (imputer <- Seq(new IIM.LocalImputer(p), new SparkIIM.SparkImputer(spark, p))) {
-      // The Spark UDF's error arrives wrapped in Spark's own exception.
-      val e = intercept[Exception](imputer.imputeAll(data, Array(0, 1), 2, queries, 0L))
-      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).toList
-      assert(messages.exists(m => m != null && m.contains("query feature 1 is not finite")), messages)
+    // A non-finite feature, then a query of the wrong length.
+    val bad = Seq(
+      Array(Array(1.0, 2.0), Array(3.0, Double.PositiveInfinity)) -> "query 1: query feature 1 is not finite (Infinity)",
+      Array(Array(1.0, 2.0, 3.0)) -> "query 0 has 3 features, expected 2")
+    for ((queries, message) <- bad; imputer <- Seq(new IIM.LocalImputer(p), new SparkIIM.SparkImputer(spark, p))) {
+      // Rejected on the driver, before learning: no Spark job starts.
+      val (jobs, _) = jobsOf {
+        val e = intercept[IllegalArgumentException](imputer.imputeAll(data, Array(0, 1), 2, queries, 0L))
+        assert(e.getMessage.contains(message), e.getMessage)
+      }
+      assert(jobs.isEmpty, jobs)
     }
   }
 
