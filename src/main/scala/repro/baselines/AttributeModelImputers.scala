@@ -62,9 +62,10 @@ final class BlrImputer(alpha: Double = 1e-3) extends Imputer {
     val sigma2 = math.max(rss / math.max(n - p, 1), 1e-12)
     // Posterior covariance σ²(XᵀX+αI)⁻¹, one solved column at a time.
     val cov = LinAlg.zeros(p, p)
+    val colSol = new Array[Double](p)
     (0 until p).foreach { j =>
       val e = new Array[Double](p); e(j) = 1.0
-      val colSol = Ridge.solve(st.u, e, alpha)
+      st.solveInto(e, colSol)
       (0 until p).foreach(i => cov(i)(j) = sigma2 * colSol(i))
     }
     // Symmetrise tiny asymmetries before the Cholesky.

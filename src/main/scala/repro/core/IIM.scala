@@ -11,6 +11,11 @@ import repro.linalg.LinAlg.Vec
   * Proposition 3; imputation (Algorithm 2) aggregates the k imputation
   * neighbours' model predictions with the mutual-vote weights of
   * Formulas 10–12.
+  *
+  * Algorithm 3 has one kernel, [[adaptiveFor]], run per tuple by both the
+  * local [[adaptive]] and the Spark path. The staged calls
+  * ([[candidateModels]], [[validationCosts]], [[selectModels]]) compute the
+  * same models a layer at a time, for Table III and for tracing.
   */
 object IIM {
 
@@ -24,11 +29,21 @@ object IIM {
     *              uses k there; with noisy data each tuple then collects only
     *              ~k cost samples and the argmin over many ℓ candidates
     *              overfits validation noise. A wider validation neighbourhood
-    *              (default max(15, 3k)) smooths cost[i][ℓ] without changing
-    *              the imputation phase — documented deviation (DESIGN.md §5).
+    *              (default max(15, 3k), selected by kv = 0) smooths
+    *              cost[i][ℓ] without changing the imputation phase —
+    *              documented deviation (DESIGN.md §5).
+    *
+    * Bad values are rejected here, naming the field: k ≥ 1, step ≥ 1,
+    * kv ≥ 0 and α finite and > 0 (α = 0 leaves every candidate with
+    * ℓ ≤ |F| rank-deficient).
     */
   final case class Params(k: Int = 5, alpha: Double = 1e-3, lMax: Int = 100, step: Int = 1,
                           kv: Int = 0) {
+    require(k >= 1, s"IIM.Params: k must be >= 1, got $k")
+    require(step >= 1, s"IIM.Params: step must be >= 1, got $step")
+    require(kv >= 0, s"IIM.Params: kv must be >= 0 (0 selects the default), got $kv")
+    require(alpha > 0.0 && alpha < Double.PositiveInfinity, s"IIM.Params: alpha must be finite and > 0, got $alpha")
+
     /** Effective validation-neighbour count. */
     def kvEff: Int = if (kv > 0) kv else math.max(15, 3 * k)
   }
@@ -111,24 +126,43 @@ object IIM {
                       lists: Array[Array[Int]], ls: Array[Int], alpha: Double): Array[Array[Vec]] =
     Array.tabulate(data.length)(i => candidateModelsFor(data, featIdx, targetIdx, lists(i), ls, alpha))
 
-  /** Incremental per-tuple candidate models (shared by local and Spark paths). */
+  /** Incremental candidate models of one tuple over its neighbour `list`,
+    * one per candidate ℓ: the models [[adaptiveFor]] validates one by one.
+    */
   def candidateModelsFor(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                          list: Array[Int], ls: Array[Int], alpha: Double): Array[Vec] = {
-    val st = new Ridge.State(featIdx.length, alpha)
-    var pos = 0
     val out = new Array[Vec](ls.length)
     var li = 0
+    sweep(data, featIdx, targetIdx, list, ls, alpha, 0) { model => out(li) = model.clone(); li += 1 }
+    out
+  }
+
+  /** Proposition 3 over one tuple's neighbour `list`: appends its rows in
+    * order to one [[Ridge.State]], read in place through `featIdx`, and
+    * hands `visit` the candidate model of each ℓ in `ls.drop(from)`, in
+    * order, in one reused buffer, which it returns holding the last one.
+    * ℓ is capped at the list's length; ℓ ≤ 1 gives the constant
+    * [[singleNeighborModel]], any other ℓ the in-place ridge solve.
+    */
+  private def sweep(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, list: Array[Int],
+                    ls: Array[Int], alpha: Double, from: Int)(visit: Vec => Unit): Vec = {
+    val st = new Ridge.State(featIdx.length, alpha)
+    val model = new Array[Double](featIdx.length + 1)
+    var pos = 0
+    var li = from
     while (li < ls.length) {
       val ell = math.min(ls(li), list.length)
       while (pos < ell) {
         val row = data(list(pos))
-        st.add(Neighbors.project(row, featIdx), row(targetIdx))
+        st.add(row, featIdx, row(targetIdx), 1.0)
         pos += 1
       }
-      out(li) = if (ell <= 1) singleNeighborModel(featIdx.length, data(list(0))(targetIdx)) else st.solve()
+      if (ell > 1) st.solveInto(st.v, model)
+      else { java.util.Arrays.fill(model, 0.0); model(0) = data(list(0))(targetIdx) }
+      visit(model)
       li += 1
     }
-    out
+    model
   }
 
   /** Candidate models recomputed from scratch for every ℓ (Algorithm 1 called
@@ -179,19 +213,22 @@ object IIM {
     * tuple's li-th candidate model when imputing each validation tuple.
     */
   def costsFor(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
-               validators: Array[Int], models: Array[Vec]): Array[Double] = {
-    val cost = new Array[Double](models.length)
+               validators: Array[Int], models: Array[Vec]): Array[Double] =
+    models.map(costOf(data, featIdx, targetIdx, validators, _))
+
+  /** One entry of [[costsFor]]: the squared errors of `model`, as
+    * [[Ridge.predict]] computes it, summed over `validators` in order.
+    */
+  private def costOf(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
+                     validators: Array[Int], model: Vec): Double = {
+    var cost = 0.0
     var p = 0
     while (p < validators.length) {
       val row = data(validators(p))
-      val xF = Neighbors.project(row, featIdx)
-      val v = row(targetIdx)
-      var li = 0
-      while (li < models.length) {
-        val d = v - Ridge.predict(models(li), xF)
-        cost(li) += d * d
-        li += 1
-      }
+      var y = model(0); var j = 0
+      while (j < featIdx.length) { y += model(j + 1) * row(featIdx(j)); j += 1 }
+      val d = row(targetIdx) - y
+      cost += d * d
       p += 1
     }
     cost
@@ -228,19 +265,33 @@ object IIM {
   def selectModels(models: Array[Array[Vec]], cost: Array[Array[Double]]): Array[Vec] =
     Array.tabulate(models.length)(i => selectModel(models(i), cost(i)))
 
-  /** Algorithm 3 for one tuple: learn its candidate models over its neighbour
-    * `list`, validate them on its `validators` (its entry of
-    * [[reverseLists]]) and return the chosen one. This is the unit of work
-    * the Spark path fans out.
+  /** Algorithm 3 for one tuple, the kernel both learning paths run: learn
+    * its candidate models over its neighbour `list` with the Proposition 3
+    * update, validate each on the tuple's `validators` (its entry of
+    * [[reverseLists]]) right after its solve, and return the chosen one,
+    * bit for bit `selectModel(candidateModelsFor(…), costsFor(…))`.
+    *
+    * It keeps one [[Ridge.State]] and two model buffers, the candidate and
+    * a copy of the best so far, and allocates nothing per row or candidate.
+    * The running argmin follows [[selectModel]]: strict `<`, and the
+    * largest ℓ when every cost is 0. A tuple with no validators therefore
+    * gets its largest-ℓ model, and only that candidate is solved.
     */
   def adaptiveFor(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                   list: Array[Int], validators: Array[Int], ls: Array[Int], alpha: Double): Vec = {
-    val models = candidateModelsFor(data, featIdx, targetIdx, list, ls, alpha)
-    selectModel(models, costsFor(data, featIdx, targetIdx, validators, models))
+    val best = new Array[Double](featIdx.length + 1)
+    var bestCost = 0.0; var noBest = true; var anyCost = false
+    val from = if (validators.isEmpty) ls.length - 1 else 0
+    val last = sweep(data, featIdx, targetIdx, list, ls, alpha, from) { model =>
+      val cost = costOf(data, featIdx, targetIdx, validators, model)
+      if (cost > 0.0) anyCost = true
+      if (noBest || cost < bestCost) { System.arraycopy(model, 0, best, 0, best.length); bestCost = cost; noBest = false }
+    }
+    if (anyCost) best else last
   }
 
-  /** Algorithm 3 end-to-end with incremental computation, one stage over all
-    * tuples at a time (the same per-tuple functions as [[adaptiveFor]]).
+  /** Algorithm 3 end-to-end: the neighbour lists, their reverse lists, then
+    * [[adaptiveFor]] per tuple — the same calls as the Spark path's jobs.
     */
   def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] =
     adaptive(Neighbors.Index(data, featIdx), targetIdx, p)
@@ -251,8 +302,8 @@ object IIM {
     requireFiniteTargets(data, targetIdx)
     val ls = ellCandidates(data.length, p.lMax, p.step)
     val lists = neighborLists(index, listLength(data.length, ls, p))
-    val models = candidateModels(data, featIdx, targetIdx, lists, ls, p.alpha)
-    selectModels(models, validationCosts(data, featIdx, targetIdx, lists, models, ls, p.kvEff))
+    val rev = reverseLists(lists, p.kvEff)
+    Array.tabulate(data.length)(i => adaptiveFor(data, featIdx, targetIdx, lists(i), rev(i), ls, p.alpha))
   }
 
   /** Formulas 10–12: candidates vote for each other; weight ∝ 1 / Σ_j |c_i − c_j|. */

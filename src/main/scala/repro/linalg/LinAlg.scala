@@ -35,40 +35,57 @@ object LinAlg {
     * Inputs are not mutated. Throws on (numerically) singular A.
     */
   def solve(a0: Mat, b0: Vec): Vec = {
-    val n = a0.length
-    val a = copy(a0); val b = b0.clone()
+    val x = new Array[Double](a0.length)
+    solveInPlace(a0.flatten, b0.clone(), x)
+    x
+  }
+
+  /** The one elimination behind [[solve]]: solves A·x = b for the n×n
+    * matrix `a`, flat and row-major (`a(r * n + c)`), with n = `x.length`,
+    * and writes the solution into `x`. `a` and `b` are overwritten; nothing
+    * is allocated. A pivot swaps row contents, so each entry sees the same
+    * operations in the same order as elimination over row references.
+    * Throws on (numerically) singular A, naming the column.
+    */
+  def solveInPlace(a: Array[Double], b: Vec, x: Vec): Unit = {
+    val n = x.length
     var col = 0
     while (col < n) {
-      var piv = col; var best = math.abs(a(col)(col))
+      val top = col * n
+      var piv = col; var best = math.abs(a(top + col))
       var r = col + 1
-      while (r < n) { val v = math.abs(a(r)(col)); if (v > best) { best = v; piv = r }; r += 1 }
-      require(best > 1e-12, s"singular matrix at column $col")
+      while (r < n) { val v = math.abs(a(r * n + col)); if (v > best) { best = v; piv = r }; r += 1 }
+      // Not `require`: its by-name message would be a closure per column.
+      if (!(best > 1e-12)) throw new IllegalArgumentException(s"requirement failed: singular matrix at column $col")
       if (piv != col) {
-        val t = a(piv); a(piv) = a(col); a(col) = t
+        // Columns left of `col` are never read again, so they need not move.
+        val po = piv * n
+        var j = col
+        while (j < n) { val t = a(po + j); a(po + j) = a(top + j); a(top + j) = t; j += 1 }
         val tb = b(piv); b(piv) = b(col); b(col) = tb
       }
-      val d = a(col)(col)
+      val d = a(top + col)
       r = col + 1
       while (r < n) {
-        val f = a(r)(col) / d
+        val ro = r * n
+        val f = a(ro + col) / d
         if (f != 0.0) {
           var j = col
-          while (j < n) { a(r)(j) -= f * a(col)(j); j += 1 }
+          while (j < n) { a(ro + j) -= f * a(top + j); j += 1 }
           b(r) -= f * b(col)
         }
         r += 1
       }
       col += 1
     }
-    val x = new Array[Double](n)
     var i = n - 1
     while (i >= 0) {
+      val io = i * n
       var s = b(i); var j = i + 1
-      while (j < n) { s -= a(i)(j) * x(j); j += 1 }
-      x(i) = s / a(i)(i)
+      while (j < n) { s -= a(io + j) * x(j); j += 1 }
+      x(i) = s / a(io + i)
       i -= 1
     }
-    x
   }
 
   /** Lower Cholesky factor L with A = L·Lᵀ of a symmetric positive-definite

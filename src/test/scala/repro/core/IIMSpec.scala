@@ -146,6 +146,28 @@ class IIMSpec extends AnyFunSuite {
     for (i <- data.indices) assert(a(i).sameElements(b(i)), s"i=$i")
   }
 
+  private def rejected(p: => IIM.Params): String = intercept[IllegalArgumentException](p).getMessage
+
+  test("Params rejects k < 1, naming k") {
+    assert(rejected(IIM.Params(k = 0)).contains("IIM.Params: k must be >= 1, got 0"))
+    assert(rejected(IIM.Params(k = -3)).contains("got -3"))
+  }
+
+  test("Params rejects step < 1, naming step") {
+    assert(rejected(IIM.Params(step = 0)).contains("IIM.Params: step must be >= 1, got 0"))
+  }
+
+  test("Params rejects kv < 0, naming kv; kv = 0 selects the default") {
+    assert(rejected(IIM.Params(kv = -1)).contains("IIM.Params: kv must be >= 0"))
+    assert(IIM.Params(k = 4, kv = 0).kvEff == 15 && IIM.Params(k = 6).kvEff == 18)
+  }
+
+  test("Params rejects an alpha that is not finite and positive, naming alpha") {
+    for (a <- Seq(0.0, -1e-3, Double.NaN, Double.PositiveInfinity))
+      assert(rejected(IIM.Params(alpha = a)).contains("IIM.Params: alpha must be finite and > 0"), s"alpha=$a")
+    assert(IIM.Params(alpha = Double.MinPositiveValue).alpha > 0.0)
+  }
+
   test("ellCandidates covers 1..n with step 1") {
     assert(IIM.ellCandidates(5, 10, 1).sameElements(Array(1, 2, 3, 4, 5)))
   }

@@ -107,7 +107,7 @@ class OracleSpec extends AnyFunSuite {
         for (j <- data.indices) {
           val st = new Ridge.State(featIdx.length, 1e-3)
           lists(j).take(ell).foreach(i => st.add(Neighbors.project(data(i), featIdx), data(i)(targetIdx)))
-          val engine = st.u.flatten.toSeq ++ st.v
+          val engine = (for (a <- 0 until d; b <- 0 until d) yield st.u(a, b)) ++ st.v
           // SQL sums in another order; every term is positive, so rounding stays relative.
           for ((want, c) <- engine.zipWithIndex) {
             val got = rows(j)(c + 1).asInstanceOf[Double]

@@ -1,29 +1,30 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.linalg.LinAlg
+import repro.linalg.LinAlg.{Mat, Vec}
 
 class RidgeSpec extends AnyFunSuite {
 
   private def approx(a: Double, b: Double, eps: Double = 1e-6): Boolean = math.abs(a - b) <= eps
 
   /** Reference: the unscaled row update `State.add` made before it took a
-    * row scale, kept to pin its bits.
+    * row scale, folded into a plain U and V, kept to pin its bits.
     */
-  private def addUnscaled(st: Ridge.State, x: Array[Double], y: Double): Unit = {
-    val f = st.nFeatures
-    st.u(0)(0) += 1.0
-    st.v(0) += y
+  private def addUnscaled(u: Mat, v: Vec, x: Array[Double], y: Double): Unit = {
+    val f = x.length
+    u(0)(0) += 1.0
+    v(0) += y
     var i = 0
     while (i < f) {
       val xi = x(i)
-      st.u(0)(i + 1) += xi
-      st.u(i + 1)(0) += xi
-      st.v(i + 1) += xi * y
+      u(0)(i + 1) += xi
+      u(i + 1)(0) += xi
+      v(i + 1) += xi * y
       var j = 0
-      while (j < f) { st.u(i + 1)(j + 1) += xi * x(j); j += 1 }
+      while (j < f) { u(i + 1)(j + 1) += xi * x(j); j += 1 }
       i += 1
     }
-    st.count += 1
   }
 
   /** Reference: the weighted fit as written before it went through
@@ -32,29 +33,28 @@ class RidgeSpec extends AnyFunSuite {
   private def fitWeightedByHand(xs: Array[Array[Double]], ys: Array[Double], ws: Array[Double],
                                 alpha: Double): Array[Double] = {
     val f = xs(0).length
-    val st = new Ridge.State(f, alpha)
+    val u = LinAlg.zeros(f + 1, f + 1); val v = new Array[Double](f + 1)
     var i = 0
     while (i < xs.length) {
       val s = math.sqrt(math.max(ws(i), 0.0))
       if (s > 0.0) {
         val x = xs(i)
-        st.u(0)(0) += s * s
-        st.v(0) += s * s * ys(i)
+        u(0)(0) += s * s
+        v(0) += s * s * ys(i)
         var a = 0
         while (a < f) {
           val xa = s * x(a); val one = s
-          st.u(0)(a + 1) += one * xa
-          st.u(a + 1)(0) += one * xa
-          st.v(a + 1) += xa * (s * ys(i))
+          u(0)(a + 1) += one * xa
+          u(a + 1)(0) += one * xa
+          v(a + 1) += xa * (s * ys(i))
           var b = 0
-          while (b < f) { st.u(a + 1)(b + 1) += xa * (s * x(b)); b += 1 }
+          while (b < f) { u(a + 1)(b + 1) += xa * (s * x(b)); b += 1 }
           a += 1
         }
-        st.count += 1
       }
       i += 1
     }
-    st.solve()
+    Ridge.solve(u, v, alpha)
   }
 
   /** Random rows with 1–4 features on mixed scales. */
@@ -109,8 +109,8 @@ class RidgeSpec extends AnyFunSuite {
     // t1..t3 of Figure 1: x = 0, 0.8, 1.9; y = 5.8, 4.6, 3.8.
     val st = new Ridge.State(1, 1e-6)
     st.add(Array(0.0), 5.8); st.add(Array(0.8), 4.6); st.add(Array(1.9), 3.8)
-    assert(approx(st.u(0)(0), 3.0) && approx(st.u(0)(1), 2.7) &&
-      approx(st.u(1)(0), 2.7) && approx(st.u(1)(1), 4.25))
+    assert(approx(st.u(0, 0), 3.0) && approx(st.u(0, 1), 2.7) &&
+      approx(st.u(1, 0), 2.7) && approx(st.u(1, 1), 4.25))
     assert(approx(st.v(0), 14.2) && approx(st.v(1), 10.9))
     val phi3 = st.solve()
     assert(approx(phi3(0), 5.66, 0.01) && approx(phi3(1), -1.03, 0.01))
@@ -161,10 +161,11 @@ class RidgeSpec extends AnyFunSuite {
       val rnd = new scala.util.Random(seed)
       val (xs, ys) = randomRows(rnd)
       val f = xs(0).length
-      val st = new Ridge.State(f, 1e-3); val ref = new Ridge.State(f, 1e-3)
-      xs.indices.foreach { i => st.add(xs(i), ys(i)); addUnscaled(ref, xs(i), ys(i)) }
-      assert(st.u.indices.forall(r => st.u(r).sameElements(ref.u(r))), s"U differs at seed $seed")
-      assert(st.v.sameElements(ref.v) && st.count == ref.count, s"V differs at seed $seed")
+      val st = new Ridge.State(f, 1e-3)
+      val u = LinAlg.zeros(f + 1, f + 1); val v = new Array[Double](f + 1)
+      xs.indices.foreach { i => st.add(xs(i), ys(i)); addUnscaled(u, v, xs(i), ys(i)) }
+      assert(u.indices.forall(r => u(r).indices.forall(c => st.u(r, c) == u(r)(c))), s"U differs at seed $seed")
+      assert(st.v.sameElements(v) && st.count == xs.length, s"V differs at seed $seed")
     }
   }
 

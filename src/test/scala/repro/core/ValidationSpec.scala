@@ -1,10 +1,13 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.LinAlg.Vec
 
 /** Algorithm 3's validation restated per tuple: the reverse neighbour lists
-  * and the pull-style costs must reproduce the push-style loop bit for bit.
+  * and the pull-style costs must reproduce the push-style loop bit for bit,
+  * and the streamed per-tuple kernel [[IIM.adaptiveFor]] must reproduce the
+  * staged candidateModels → validationCosts → selectModels pipeline.
   */
 class ValidationSpec extends AnyFunSuite {
 
@@ -76,15 +79,91 @@ class ValidationSpec extends AnyFunSuite {
     assert(rev.map(_.toSeq).toSeq == Seq(Seq(1), Seq(0, 2), Seq()))
   }
 
-  test("adaptiveFor equals IIM.adaptive tuple by tuple") {
-    for ((data, p, ls, lists) <- cases) {
-      val staged = IIM.adaptive(data, fi, ti, p)
-      val rev = IIM.reverseLists(lists, p.kv)
-      for (i <- data.indices) {
-        val one = IIM.adaptiveFor(data, fi, ti, lists(i), rev(i), ls, p.alpha)
-        assert(one.sameElements(staged(i)), s"n=${data.length} i=$i")
-      }
+  private def bits(x: Vec): Seq[Long] = x.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** Algorithm 3 stage by stage, as perfbench's trace and Table III run it:
+    * the candidate ℓs, lists, reverse lists and chosen models.
+    */
+  private def staged(data: Array[Array[Double]], p: IIM.Params) = {
+    val ls = IIM.ellCandidates(data.length, p.lMax, p.step)
+    val lists = IIM.neighborLists(data, fi, IIM.listLength(data.length, ls, p))
+    val models = IIM.candidateModels(data, fi, ti, lists, ls, p.alpha)
+    val chosen = IIM.selectModels(models, IIM.validationCosts(data, fi, ti, lists, models, ls, p.kvEff))
+    (ls, lists, IIM.reverseLists(lists, p.kvEff), chosen)
+  }
+
+  private def assertKernelMatchesStaged(data: Array[Array[Double]], p: IIM.Params): Unit = {
+    val (ls, lists, rev, chosen) = staged(data, p)
+    val adaptive = IIM.adaptive(data, fi, ti, p)
+    for (i <- data.indices) {
+      val one = IIM.adaptiveFor(data, fi, ti, lists(i), rev(i), ls, p.alpha)
+      assert(bits(one) == bits(chosen(i)), s"n=${data.length} $p i=$i")
+      assert(bits(adaptive(i)) == bits(chosen(i)), s"n=${data.length} $p i=$i (adaptive)")
     }
+  }
+
+  test("adaptiveFor equals staged Algorithm 3 bitwise, random Params") {
+    val gen = for {
+      n <- Gen.choose(1, 60)
+      distinct <- Gen.choose(1, n)
+      k <- Gen.choose(1, 10)
+      alpha <- Gen.oneOf(1e-6, 1e-3, 0.5)
+      lMax <- Gen.choose(1, 40)
+      step <- Gen.choose(1, 5)
+      kv <- Gen.choose(0, 30)
+      seed <- Gen.choose(0L, 100000L)
+    } yield (dupData(n, distinct, seed), IIM.Params(k, alpha, lMax, step, kv))
+    val prop = Prop.forAllNoShrink(gen) { case (data, p) => assertKernelMatchesStaged(data, p); true }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(40).withWorkers(1), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("adaptiveFor without validators, on short lists and at n = 1 equals the staged selection") {
+    // Row 4 lies far from the cluster, so with kv = 1 it is no row's nearest
+    // other row and nothing validates its models: every cost is 0 and it
+    // falls back to its largest-ℓ model, the only candidate the kernel solves.
+    val data = Array(Array(0.0, 0.0, 1.0), Array(0.1, 0.0, 2.0), Array(0.0, 0.1, 3.0),
+      Array(0.1, 0.1, 4.0), Array(9.0, 9.0, 5.0))
+    val p = IIM.Params(lMax = 5, kv = 1)
+    val (ls, lists, rev, chosen) = staged(data, p)
+    assert(rev(4).isEmpty && ls.length == 5)
+    val largest = IIM.candidateModelsFor(data, fi, ti, lists(4), ls, p.alpha).last
+    assert(bits(IIM.adaptiveFor(data, fi, ti, lists(4), rev(4), ls, p.alpha)) == bits(largest))
+    assert(bits(chosen(4)) == bits(largest))
+    assertKernelMatchesStaged(data, p)
+
+    // Lists shorter than the largest ℓ: the candidates past the list's end
+    // repeat its last model.
+    for (i <- data.indices; len <- 1 to 3) {
+      val short = lists(i).take(len)
+      val models = IIM.candidateModelsFor(data, fi, ti, short, ls, p.alpha)
+      val want = IIM.selectModel(models, IIM.costsFor(data, fi, ti, rev(i), models))
+      assert(bits(IIM.adaptiveFor(data, fi, ti, short, rev(i), ls, p.alpha)) == bits(want), s"i=$i len=$len")
+    }
+
+    // n = 1: one candidate, ℓ = 1, no validators: the constant model.
+    val one = Array(Array(1.0, 2.0, 3.0))
+    assert(bits(IIM.adaptive(one, fi, ti, IIM.Params())(0)) == bits(IIM.singleNeighborModel(2, 3.0)))
+    assertKernelMatchesStaged(one, IIM.Params(kv = 4))
+  }
+
+  test("adaptiveFor keeps the smallest ℓ on a tie and the largest when every cost is 0") {
+    // Targets of -0.0 make exact ties between models with different bits:
+    // the ℓ = 1 model of a -0.0 target is (-0.0, 0, 0), a ridge model over
+    // zero targets has +0.0 entries, and both predict every zero target with
+    // error 0. With kv = 1 row 0 is validated by row 1 only, and its ℓ = 3
+    // candidate, fitted over row 2's target 5, costs more than 0.
+    val tie = Array(Array(0.0, 0.0, -0.0), Array(1.0, 0.0, -0.0), Array(3.0, 0.0, 5.0))
+    val allZero = tie.map(_.updated(ti, -0.0))
+    for ((data, want) <- Seq(tie -> 0, allZero -> 2)) {
+      val p = IIM.Params(lMax = 3, kv = 1)
+      assertKernelMatchesStaged(data, p)
+      val (_, lists, rev, chosen) = staged(data, p)
+      val models = IIM.candidateModelsFor(data, fi, ti, lists(0), Array(1, 2, 3), p.alpha)
+      assert(rev(0).toSeq == Seq(1) && bits(models(0)) != bits(models(1)))
+      assert(bits(chosen(0)) == bits(models(want)))
+    }
+    assertKernelMatchesStaged(tie, IIM.Params(lMax = 3, kv = 2))
   }
 
   test("selectModel returns the chosen candidate by reference") {

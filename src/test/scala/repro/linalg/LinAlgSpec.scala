@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Ridge
 import LinAlg._
 
 class LinAlgSpec extends AnyFunSuite {
@@ -10,6 +11,64 @@ class LinAlgSpec extends AnyFunSuite {
   /** The product A·B, to check results against. */
   private def mul(a: Mat, b: Mat): Mat =
     Array.tabulate(a.length, b(0).length)((i, j) => b.indices.map(k => a(i)(k) * b(k)(j)).sum)
+
+  /** Reference: `solve` as it was written over row references, before the
+    * flat in-place elimination, kept to pin its bits.
+    */
+  private def solveByRows(a0: Mat, b0: Vec): Vec = {
+    val n = a0.length
+    val a = copy(a0); val b = b0.clone()
+    var col = 0
+    while (col < n) {
+      var piv = col; var best = math.abs(a(col)(col))
+      var r = col + 1
+      while (r < n) { val v = math.abs(a(r)(col)); if (v > best) { best = v; piv = r }; r += 1 }
+      require(best > 1e-12, s"singular matrix at column $col")
+      if (piv != col) {
+        val t = a(piv); a(piv) = a(col); a(col) = t
+        val tb = b(piv); b(piv) = b(col); b(col) = tb
+      }
+      val d = a(col)(col)
+      r = col + 1
+      while (r < n) {
+        val f = a(r)(col) / d
+        if (f != 0.0) {
+          var j = col
+          while (j < n) { a(r)(j) -= f * a(col)(j); j += 1 }
+          b(r) -= f * b(col)
+        }
+        r += 1
+      }
+      col += 1
+    }
+    val x = new Array[Double](n)
+    var i = n - 1
+    while (i >= 0) {
+      var s = b(i); var j = i + 1
+      while (j < n) { s -= a(i)(j) * x(j); j += 1 }
+      x(i) = s / a(i)(i)
+      i -= 1
+    }
+    x
+  }
+
+  private def bits(x: Vec): Seq[Long] = x.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** Random n×n systems whose leading entries are zero or tiny at times, so
+    * elimination has to swap rows, on scales from 1e-3 to 1e3.
+    */
+  private def pivotingSystems: Seq[(Mat, Vec)] = (0 until 200).map { seed =>
+    val rnd = new scala.util.Random(seed)
+    val n = 1 + seed % 9
+    val scale = math.pow(10.0, rnd.nextInt(7) - 3)
+    val a = Array.fill(n, n)((rnd.nextDouble() * 2 - 1) * scale)
+    for (i <- 0 until n) a(i)(i) += n * scale // non-singular before the diagonal is pruned
+    if (n > 1) {
+      for (i <- 0 until n if rnd.nextInt(3) == 0) a(i)(i) = if (rnd.nextBoolean()) 0.0 else 1e-9 * scale
+      a(0)(0) = 0.0 // column 0 always needs a swap
+    }
+    (a, Array.fill(n)(rnd.nextDouble() * 10 - 5))
+  }
 
   /** Random SPD matrix A = BᵀB + I. */
   private def spd(n: Int, seed: Long): Mat = {
@@ -79,6 +138,34 @@ class LinAlgSpec extends AnyFunSuite {
       val got = solve(a, a.map(dot(_, x)))
       assert(x.indices.forall(i => approx(got(i), x(i), 1e-7)), s"seed=$seed")
     }
+  }
+
+  test("solve equals the row-reference elimination bitwise when rows must pivot") {
+    for (((a, b), seed) <- pivotingSystems.zipWithIndex) {
+      val want = solveByRows(a, b)
+      assert(bits(solve(a, b)) == bits(want), s"seed $seed")
+      val flat = a.flatten; val rhs = b.clone(); val x = new Array[Double](b.length)
+      solveInPlace(flat, rhs, x)
+      assert(bits(x) == bits(want), s"seed $seed, in place")
+    }
+  }
+
+  test("Ridge.solve equals the row-reference elimination of U + αE bitwise") {
+    for (((a, b), seed) <- pivotingSystems.zipWithIndex; alpha <- Seq(1e-3, 0.5)) {
+      val shifted = copy(a)
+      for (i <- shifted.indices) shifted(i)(i) += alpha
+      assert(bits(Ridge.solve(a, b, alpha)) == bits(solveByRows(shifted, b)), s"seed $seed α=$alpha")
+    }
+  }
+
+  test("solve names the singular column, as the row-reference elimination did") {
+    val a = Array(Array(1.0, 2.0), Array(2.0, 4.0))
+    val want = intercept[IllegalArgumentException](solveByRows(a, Array(1.0, 1.0))).getMessage
+    assert(want == "requirement failed: singular matrix at column 1")
+    assert(intercept[IllegalArgumentException](solve(a, Array(1.0, 1.0))).getMessage == want)
+    val st = new Ridge.State(1, 1e-20)
+    st.add(Array(2.0), 1.0); st.add(Array(2.0), 3.0)
+    assert(intercept[IllegalArgumentException](st.solve()).getMessage == want)
   }
 
   test("cholesky factors a known SPD matrix") {
