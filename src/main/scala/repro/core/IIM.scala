@@ -16,6 +16,16 @@ import repro.linalg.LinAlg.Vec
   * local [[adaptive]] and the Spark path. The staged calls
   * ([[candidateModels]], [[validationCosts]], [[selectModels]]) compute the
   * same models a layer at a time, for Table III and for tracing.
+  *
+  * Imputing a batch ([[LocalImputer]], `SparkIIM.imputeValues`) learns only
+  * the models Algorithm 2 reads: those of the tuples among some query's k
+  * nearest ([[imputeMasked]]). No other model enters a vote, so it is never
+  * learnt, and no output bit changes: a tuple's model depends only on its
+  * own full neighbour list and its reverse list, [[reverseLists]] reads only
+  * the first kv + 1 entries of each list, and a shorter list is an exact
+  * prefix of a longer one (ties go by row index). So every other tuple
+  * needs only its (kv + 1)-list, and the reverse lists built from those are
+  * the ones the full lists give.
   */
 object IIM {
 
@@ -33,13 +43,14 @@ object IIM {
     *              cost[i][ℓ] without changing the imputation phase —
     *              documented deviation (DESIGN.md §5).
     *
-    * Bad values are rejected here, naming the field: k ≥ 1, step ≥ 1,
-    * kv ≥ 0 and α finite and > 0 (α = 0 leaves every candidate with
-    * ℓ ≤ |F| rank-deficient).
+    * Bad values are rejected here, naming the field: k ≥ 1, lMax ≥ 1,
+    * step ≥ 1, kv ≥ 0 and α finite and > 0 (α = 0 leaves every candidate
+    * with ℓ ≤ |F| rank-deficient).
     */
   final case class Params(k: Int = 5, alpha: Double = 1e-3, lMax: Int = 100, step: Int = 1,
                           kv: Int = 0) {
     require(k >= 1, s"IIM.Params: k must be >= 1, got $k")
+    require(lMax >= 1, s"IIM.Params: lMax must be >= 1, got $lMax")
     require(step >= 1, s"IIM.Params: step must be >= 1, got $step")
     require(kv >= 0, s"IIM.Params: kv must be >= 0 (0 selects the default), got $kv")
     require(alpha > 0.0 && alpha < Double.PositiveInfinity, s"IIM.Params: alpha must be finite and > 0, got $alpha")
@@ -57,11 +68,11 @@ object IIM {
     phi
   }
 
-  /** Candidate ℓ values {1, 1+h, …} capped at min(n, lMax); always non-empty. */
+  /** Candidate ℓ values {1, 1+h, …} capped at min(n, lMax); non-empty for n ≥ 1. */
   def ellCandidates(n: Int, lMax: Int, step: Int): Array[Int] = {
     require(step >= 1, "stepping h must be >= 1")
-    val top = math.min(n, math.max(1, lMax))
-    Iterator.iterate(1)(_ + step).takeWhile(_ <= top).toArray
+    require(lMax >= 1, s"lMax must be >= 1, got $lMax")
+    Iterator.iterate(1)(_ + step).takeWhile(_ <= math.min(n, lMax)).toArray
   }
 
   /** Neighbour-list length Algorithm 3 needs for candidate ℓs `ls` over n
@@ -291,19 +302,52 @@ object IIM {
   }
 
   /** Algorithm 3 end-to-end: the neighbour lists, their reverse lists, then
-    * [[adaptiveFor]] per tuple — the same calls as the Spark path's jobs.
+    * [[adaptiveFor]] per tuple — the calls the Spark path makes too.
     */
   def adaptive(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, p: Params): Array[Vec] =
     adaptive(Neighbors.Index(data, featIdx), targetIdx, p)
 
   /** [[adaptive]] over a prebuilt index of the complete relation. */
   def adaptive(index: Neighbors.Index, targetIdx: Int, p: Params): Array[Vec] = {
-    val data = index.data; val featIdx = index.featIdx
-    requireFiniteTargets(data, targetIdx)
-    val ls = ellCandidates(data.length, p.lMax, p.step)
-    val lists = neighborLists(index, listLength(data.length, ls, p))
+    requireFiniteTargets(index.data, targetIdx)
+    adaptiveMasked(index, targetIdx, p, Array.fill(index.data.length)(true))
+  }
+
+  /** [[adaptive]] for the tuples `marked` flags; the others' models are
+    * null. A marked tuple gets its full [[listLength]] list, every other one
+    * only the (kv + 1)-prefix [[reverseLists]] reads, so each list is one
+    * search and the reverse lists equal those of [[adaptive]].
+    */
+  private def adaptiveMasked(index: Neighbors.Index, targetIdx: Int, p: Params, marked: Array[Boolean]): Array[Vec] = {
+    val data = index.data; val n = data.length
+    val ls = ellCandidates(n, p.lMax, p.step)
+    val full = listLength(n, ls, p); val short = validationLength(n, p)
+    val lists = Array.tabulate(n)(i => index.nearestTo(i, if (marked(i)) full else short))
     val rev = reverseLists(lists, p.kvEff)
-    Array.tabulate(data.length)(i => adaptiveFor(data, featIdx, targetIdx, lists(i), rev(i), ls, p.alpha))
+    Array.tabulate(n)(i =>
+      if (marked(i)) adaptiveFor(data, index.featIdx, targetIdx, lists(i), rev(i), ls, p.alpha) else null)
+  }
+
+  /** The list length [[reverseLists]] reads at kv validation neighbours:
+    * kv entries besides the tuple itself, capped at n.
+    */
+  private[repro] def validationLength(n: Int, p: Params): Int = math.min(p.kvEff + 1, n)
+
+  /** Algorithm 2 for a batch of projected `queries` over only the models it
+    * reads. After the relation's targets are checked, each query's k
+    * nearest tuples are looked up once and marked; `learn` gets the marks
+    * and returns the marked tuples' models (any others may be null); each
+    * query then votes over its stored neighbours. No query, no learning.
+    */
+  private[repro] def imputeMasked(index: Neighbors.Index, targetIdx: Int, queries: Array[Array[Double]], k: Int)(
+      learn: Array[Boolean] => Array[Vec]): Array[Double] = {
+    requireFiniteTargets(index.data, targetIdx)
+    if (queries.isEmpty) return Array.emptyDoubleArray
+    val nn = queries.map(index.nearest(_, k))
+    val marked = new Array[Boolean](index.data.length)
+    nn.foreach(_.foreach(marked(_) = true))
+    val models = learn(marked)
+    Array.tabulate(queries.length)(q => vote(models, nn(q), queries(q)))
   }
 
   /** Formulas 10–12: candidates vote for each other; weight ∝ 1 / Σ_j |c_i − c_j|. */
@@ -345,8 +389,10 @@ object IIM {
   private def vote(models: Array[Vec], nn: Array[Int], qF: Array[Double]): Double =
     combine(nn.map(i => Ridge.predict(models(i), qF)))
 
-  /** [[Imputer]] adapter running the full local pipeline over one index of
-    * the complete relation, shared by learning and every query.
+  /** [[Imputer]] adapter running the local pipeline over one index of the
+    * complete relation, shared by learning and every query. It learns only
+    * the models its queries read ([[imputeMasked]]) and returns, bit for
+    * bit, [[adaptive]] followed by [[imputeOne]] per query.
     */
   final class LocalImputer(p: Params) extends Imputer {
     override def name: String = "IIM"
@@ -354,8 +400,7 @@ object IIM {
                            queries: Array[Array[Double]], seed: Long): Array[Double] = {
       requireQueries(queries, featIdx.length)
       val index = Neighbors.Index(complete, featIdx)
-      val models = adaptive(index, targetIdx, p)
-      queries.map(q => imputeOne(index, models, q, p.k))
+      imputeMasked(index, targetIdx, queries, p.k)(adaptiveMasked(index, targetIdx, p, _))
     }
   }
 }

@@ -3,7 +3,6 @@ package repro.spark
 import scala.reflect.ClassTag
 
 import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{IIM, Imputer, Neighbors}
@@ -12,19 +11,22 @@ import repro.linalg.LinAlg.Vec
 /** Spark-parallel IIM, per the layering in DESIGN.md §1.
   *
   * The complete relation is small (≤100k short rows). The driver builds one
-  * [[Neighbors.Index]] over it and broadcasts it; every neighbour lookup
-  * reads that broadcast. Learning and imputation have no cross-record step,
-  * so each phase is one shuffle-free [[perTuple]] job over the functions the
-  * local path runs, and every result is bitwise equal to the local path:
+  * [[Neighbors.Index]] over it and broadcasts it; every neighbour lookup in
+  * a task reads that broadcast. Learning has no cross-record step, so
+  * Algorithm 3 is one shuffle-free [[perTuple]] job, "IIM Algorithm 3
+  * (m of n tuples, …)", over the functions the local path runs, and every
+  * result is bitwise equal to the local path:
   *
-  *  - "IIM neighbour lists" computes each tuple's list once; the driver
-  *    builds the reverse lists ([[IIM.reverseLists]]) and broadcasts both;
-  *  - "IIM Algorithm 3" runs [[IIM.adaptiveFor]] per tuple and returns only
-  *    the chosen model;
-  *  - "IIM Algorithm 2" ([[imputeValues]]) runs [[IIM.imputeOne]] per query.
+  *  - the driver builds each tuple's (kv + 1)-list and their reverse lists
+  *    ([[IIM.reverseLists]]), which equal those of the full lists;
+  *  - each task takes one tuple id with its reverse list, computes the
+  *    tuple's full neighbour list and runs [[IIM.adaptiveFor]], returning
+  *    only the chosen model.
   *
-  * [[impute]] is the DataFrame entry point: a scalar UDF applied only where
-  * the target column is NULL/NaN.
+  * [[imputeValues]] learns only the m tuples some query's k nearest include
+  * ([[IIM.imputeMasked]]) and votes on the driver; [[adaptiveModels]] learns
+  * all n. [[impute]] is the DataFrame entry point: a scalar UDF applied only
+  * where the target column is NULL/NaN.
   */
 object SparkIIM {
 
@@ -32,33 +34,42 @@ object SparkIIM {
     * bitwise identical to [[IIM.adaptive]] (asserted in tests).
     */
   def adaptiveModels(spark: SparkSession, data: Array[Array[Double]], featIdx: Array[Int],
-                     targetIdx: Int, p: IIM.Params): Array[Vec] =
-    adaptiveModels(spark.sparkContext, spark.sparkContext.broadcast(Neighbors.Index(data, featIdx)), targetIdx, p)
-
-  private def adaptiveModels(sc: SparkContext, bcIndex: Broadcast[Neighbors.Index], targetIdx: Int,
-                             p: IIM.Params): Array[Vec] = {
-    IIM.requireFiniteTargets(bcIndex.value.data, targetIdx)
-    val n = bcIndex.value.data.length
-    val ls = IIM.ellCandidates(n, p.lMax, p.step)
-    val limit = IIM.listLength(n, ls, p)
-    val lists = perTuple(sc, s"IIM neighbour lists (n = $n)", n)(i => bcIndex.value.nearestTo(i, limit))
-    val bcLists = sc.broadcast(lists)
-    val bcRev = sc.broadcast(IIM.reverseLists(lists, p.kvEff))
-    perTuple(sc, s"IIM Algorithm 3 (n = $n)", n) { i =>
-      val index = bcIndex.value
-      IIM.adaptiveFor(index.data, index.featIdx, targetIdx, bcLists.value(i), bcRev.value(i), ls, p.alpha)
-    }
+                     targetIdx: Int, p: IIM.Params): Array[Vec] = {
+    val index = Neighbors.Index(data, featIdx)
+    IIM.requireFiniteTargets(data, targetIdx)
+    learn(spark.sparkContext, index, targetIdx, p, Array.fill(data.length)(true), "")
   }
 
-  /** `f` over the ids `0 until n` in one job described as `phase`, results in
-    * id order (`collect` keeps partition order). `f` may read broadcasts
-    * only. The caller's job description, the local property
-    * `setJobDescription` writes, is restored afterwards.
+  /** The models of the tuples `marked` flags, in one "IIM Algorithm 3" job
+    * whose description ends with `detail`; the others' models are null.
     */
-  private def perTuple[T: ClassTag](sc: SparkContext, phase: String, n: Int)(f: Int => T): Array[T] = {
+  private def learn(sc: SparkContext, index: Neighbors.Index, targetIdx: Int, p: IIM.Params,
+                    marked: Array[Boolean], detail: String): Array[Vec] = {
+    val n = index.data.length
+    val ls = IIM.ellCandidates(n, p.lMax, p.step)
+    val limit = IIM.listLength(n, ls, p)
+    val rev = IIM.reverseLists(IIM.neighborLists(index, IIM.validationLength(n, p)), p.kvEff)
+    val ids = marked.indices.filter(marked)
+    val bcIndex = sc.broadcast(index)
+    val learned = perTuple(sc, s"IIM Algorithm 3 (${ids.length} of $n tuples$detail)", ids.map(i => (i, rev(i)))) {
+      case (i, validators) =>
+        val index = bcIndex.value
+        IIM.adaptiveFor(index.data, index.featIdx, targetIdx, index.nearestTo(i, limit), validators, ls, p.alpha)
+    }
+    val models = new Array[Vec](n)
+    for (j <- ids.indices) models(ids(j)) = learned(j)
+    models
+  }
+
+  /** `f` over `items` in one job described as `phase`, results in item
+    * order (`collect` keeps partition order). `f` may read broadcasts only.
+    * The caller's job description, the local property `setJobDescription`
+    * writes, is restored afterwards.
+    */
+  private def perTuple[A: ClassTag, T: ClassTag](sc: SparkContext, phase: String, items: Seq[A])(f: A => T): Array[T] = {
     val caller = sc.getLocalProperty("spark.job.description")
     sc.setJobDescription(phase)
-    try sc.parallelize(0 until n, sc.defaultParallelism).map(f).collect()
+    try sc.parallelize(items, sc.defaultParallelism).map(f).collect()
     finally sc.setJobDescription(caller)
   }
 
@@ -86,20 +97,18 @@ object SparkIIM {
     df.withColumn(targetCol, when(target.isNull || isnan(target), imputed).otherwise(target))
   }
 
-  /** End-to-end convenience: learn on `complete`, then impute the projected
-    * queries in one Algorithm 2 job; values in query order. A bad query is
-    * rejected on the driver before any job starts. One index, built on the
-    * driver and broadcast once, serves every phase.
+  /** End-to-end convenience: learn on `complete` the models the projected
+    * queries read, in one Algorithm 3 job, then vote on the driver; values
+    * in query order. Bad queries and a non-finite value in the complete
+    * relation are rejected on the driver before any job starts; no query
+    * starts no job.
     */
   def imputeValues(spark: SparkSession, complete: Array[Array[Double]], featIdx: Array[Int],
                    targetIdx: Int, queries: Array[Array[Double]], p: IIM.Params): Array[Double] = {
     IIM.requireQueries(queries, featIdx.length)
-    val sc = spark.sparkContext
-    val bcIndex = sc.broadcast(Neighbors.Index(complete, featIdx))
-    val bcModels = sc.broadcast(adaptiveModels(sc, bcIndex, targetIdx, p))
-    val bcQueries = sc.broadcast(queries)
-    perTuple(sc, s"IIM Algorithm 2 (q = ${queries.length})", queries.length)(i =>
-      IIM.imputeOne(bcIndex.value, bcModels.value, bcQueries.value(i), p.k))
+    val index = Neighbors.Index(complete, featIdx)
+    IIM.imputeMasked(index, targetIdx, queries, p.k)(
+      learn(spark.sparkContext, index, targetIdx, p, _, s", q = ${queries.length}"))
   }
 
   /** [[Imputer]] adapter that runs IIM through the Spark path. */

@@ -55,6 +55,36 @@ object CoreProps extends Properties("core") {
     data.indices.forall(i => ls.indices.forall(li => a(i)(li).sameElements(b(i)(li))))
   }
 
+  /** 0.1-grid rows drawn from a few distinct ones (exact ties, duplicates),
+    * random Params with k ≥ n and kv + 1 ≥ n among them, and 0, 1 or many
+    * queries on and off the rows.
+    */
+  private val maskedCases = for {
+    n <- Gen.choose(1, 30)
+    distinct <- Gen.choose(1, n)
+    k <- Gen.oneOf(Gen.choose(1, n), Gen.choose(n, n + 5))
+    kv <- Gen.oneOf(Gen.const(0), Gen.choose(1, n), Gen.choose(n - 1, n + 5).map(_.max(1)))
+    lMax <- Gen.choose(1, 35)
+    step <- Gen.choose(1, 6)
+    q <- Gen.oneOf(Gen.const(0), Gen.const(1), Gen.choose(2, 25))
+    seed <- Gen.choose(0L, 100000L)
+  } yield {
+    val rnd = new scala.util.Random(seed)
+    val pool = Array.fill(distinct)(Array.fill(3)(rnd.nextInt(50) / 10.0))
+    val data = Array.fill(n)(pool(rnd.nextInt(distinct)).clone())
+    val queries = Array.fill(q)(if (rnd.nextBoolean()) data(rnd.nextInt(n)).take(2) else Array.fill(2)(rnd.nextInt(50) / 10.0))
+    (data, IIM.Params(k = k, lMax = lMax, step = step, kv = kv), queries)
+  }
+
+  property("masked LocalImputer equals adaptive then imputeOne bitwise") = Prop.forAll(maskedCases) {
+    case (data, p, queries) =>
+      val index = Neighbors.Index(data, fi)
+      val models = IIM.adaptive(index, ti, p)
+      val eager = queries.map(IIM.imputeOne(index, models, _, p.k))
+      val masked = new IIM.LocalImputer(p).imputeAll(data, fi, ti, queries, 0L)
+      masked.map(java.lang.Double.doubleToRawLongBits).sameElements(eager.map(java.lang.Double.doubleToRawLongBits))
+  }
+
   property("Ridge incremental state equals batch fit") = Prop.forAll(smallData) { data =>
     val xs = data.map(r => Array(r(0), r(1)))
     val ys = data.map(_(2))

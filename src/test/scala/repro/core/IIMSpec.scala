@@ -153,6 +153,12 @@ class IIMSpec extends AnyFunSuite {
     assert(rejected(IIM.Params(k = -3)).contains("got -3"))
   }
 
+  test("Params rejects lMax < 1, naming lMax") {
+    assert(rejected(IIM.Params(lMax = 0)).contains("IIM.Params: lMax must be >= 1, got 0"))
+    assert(rejected(IIM.Params(lMax = -5)).contains("got -5"))
+    assert(intercept[IllegalArgumentException](IIM.ellCandidates(10, 0, 1)).getMessage.contains("lMax"))
+  }
+
   test("Params rejects step < 1, naming step") {
     assert(rejected(IIM.Params(step = 0)).contains("IIM.Params: step must be >= 1, got 0"))
   }
@@ -222,6 +228,23 @@ class IIMSpec extends AnyFunSuite {
     val models = Array(Array(Array(1.0), Array(2.0), Array(3.0)))
     val cost = Array(Array(0.0, 0.0, 0.0))
     assert(IIM.selectModels(models, cost)(0).sameElements(Array(3.0)))
+  }
+
+  test("reverseLists over (kv + 1)-prefixes equals reverseLists over full lists") {
+    // Rows 0–5 are one point, so row 5 sits behind five lower-index copies
+    // in its own list; the rest are on a 0.1 grid, with more exact ties.
+    val rnd = new scala.util.Random(53)
+    val data = Array.fill(6)(Array(1.0, 1.0)) ++ Array.fill(40)(Array(rnd.nextInt(20) / 10.0, rnd.nextInt(20) / 10.0))
+    val index = Neighbors.Index(data, Array(0, 1))
+    val full = IIM.neighborLists(index, data.length)
+    assert(full(5).indexOf(5) == 5)
+    for (kv <- Seq(1, 2, 4, 7, 20, data.length - 1, data.length + 3)) {
+      val short = IIM.neighborLists(index, math.min(kv + 1, data.length))
+      for (i <- data.indices) assert(short(i).sameElements(full(i).take(kv + 1)), s"kv=$kv list $i is not a prefix")
+      val want = IIM.reverseLists(full, kv)
+      val got = IIM.reverseLists(short, kv)
+      for (i <- data.indices) assert(got(i).sameElements(want(i)), s"kv=$kv rev($i)")
+    }
   }
 
   test("neighborLists puts each tuple first in its own list") {

@@ -9,7 +9,7 @@ import org.apache.spark.TestBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.scalacheck.{Gen, Prop, Test}
 import repro.SparkSpec
-import repro.core.IIM
+import repro.core.{IIM, Neighbors}
 
 /** The Spark IIM path must agree with the in-core reference implementation. */
 class SparkIIMSpec extends SparkSpec {
@@ -139,18 +139,43 @@ class SparkIIMSpec extends SparkSpec {
     assert(SparkIIM.imputeValues(spark, data, fi, ti, Array.empty, p).isEmpty)
   }
 
-  test("imputeValues runs three named jobs and no shuffle, and restores the job description") {
+  test("imputeValues runs one named job with one stage and no shuffle") {
     val data = randomData(40, 3, 15)
-    val queries = Array.fill(5)(Array(1.0, 2.0))
+    val fi = Array(0, 1)
+    val queries = Array(Array(1.0, 2.0), Array(1.0, 2.0), Array(8.0, 3.0), Array(5.0, 5.0), Array(1.0, 2.5))
+    // The tuples whose models Algorithm 2 reads: every query's k nearest.
+    val m = queries.flatMap(Neighbors.nearest(data, fi, _, p.k)).distinct.length
+    assert(m < data.length)
     val sc = spark.sparkContext
     sc.setJobDescription("caller")
     try {
-      val (jobs, shuffled) = jobsOf(SparkIIM.imputeValues(spark, data, Array(0, 1), 2, queries, p))
-      assert(jobs == Seq(("IIM neighbour lists (n = 40)", 1), ("IIM Algorithm 3 (n = 40)", 1),
-        ("IIM Algorithm 2 (q = 5)", 1)), jobs)
+      val (jobs, shuffled) = jobsOf(SparkIIM.imputeValues(spark, data, fi, 2, queries, p))
+      assert(jobs == Seq((s"IIM Algorithm 3 ($m of 40 tuples, q = 5)", 1)), jobs)
       assert(shuffled == 0L)
       assert(sc.getLocalProperty("spark.job.description") == "caller")
+      val (learnAll, _) = jobsOf(SparkIIM.adaptiveModels(spark, data, fi, 2, p))
+      assert(learnAll == Seq(("IIM Algorithm 3 (40 of 40 tuples)", 1)), learnAll)
     } finally sc.setJobDescription(null)
+  }
+
+  test("imputeValues with no queries starts no job") {
+    val (jobs, _) = jobsOf(assert(SparkIIM.imputeValues(spark, randomData(30, 3, 17), Array(0, 1), 2, Array.empty, p).isEmpty))
+    assert(jobs.isEmpty, jobs)
+  }
+
+  test("a NaN target in a row no query reads is rejected with its row and column") {
+    val data = randomData(30, 3, 18)
+    data(17)(0) = 90.0; data(17)(1) = 90.0; data(17)(2) = Double.NaN
+    val queries = Array(Array(1.0, 2.0), Array(6.0, 4.0))
+    assert(!queries.exists(q => Neighbors.nearest(data, Array(0, 1), q, p.k).contains(17)))
+    for (imputer <- Seq(new IIM.LocalImputer(p), new SparkIIM.SparkImputer(spark, p))) {
+      // Rejected on the driver, before the mask: no Spark job starts.
+      val (jobs, _) = jobsOf {
+        val e = intercept[IllegalArgumentException](imputer.imputeAll(data, Array(0, 1), 2, queries, 0L))
+        assert(e.getMessage.contains("row 17 column 2"), e.getMessage)
+      }
+      assert(jobs.isEmpty, jobs)
+    }
   }
 
   test("impute UDF only touches NULL/NaN targets") {
