@@ -16,8 +16,7 @@ import repro.tables.Methods
   *  - CCPP lookups: Algorithm 2's k = 5 lookups of 25,000 queries on 3,000
   *    CCPP tuples (|F| = 4);
   *  - CA lists: the all-pairs lists of the ℓ ≤ 400 sweep on 1,900 CA tuples
-  *    (|F| = 8), and the same lists at c = n/2, the largest count the index
-  *    answers with its tree rather than the scan, where the two cost about
+  *    (|F| = 8), and the same lists at c = n/2, where the two cost about
   *    the same.
   */
 class KnnIndexBench extends AnyFunSuite {

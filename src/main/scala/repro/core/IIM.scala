@@ -59,15 +59,6 @@ object IIM {
     def kvEff: Int = if (kv > 0) kv else math.max(15, 3 * k)
   }
 
-  /** §III-A2: with a single learning neighbour the model is the constant
-    * φ = (t_i[A_m], 0, …, 0).
-    */
-  def singleNeighborModel(nFeatures: Int, y: Double): Vec = {
-    val phi = new Array[Double](nFeatures + 1)
-    phi(0) = y
-    phi
-  }
-
   /** Candidate ℓ values {1, 1+h, …} capped at min(n, lMax); non-empty for n ≥ 1. */
   def ellCandidates(n: Int, lMax: Int, step: Int): Array[Int] = {
     require(step >= 1, "stepping h must be >= 1")
@@ -77,9 +68,10 @@ object IIM {
 
   /** Neighbour-list length Algorithm 3 needs for candidate ℓs `ls` over n
     * tuples: the largest ℓ, or kv validation neighbours besides the tuple
-    * itself if more, capped at n.
+    * itself if more, capped at n (0 over an empty relation, whose `ls` is
+    * empty).
     */
-  def listLength(n: Int, ls: Array[Int], p: Params): Int = math.min(math.max(ls.last, p.kvEff + 1), n)
+  def listLength(n: Int, ls: Array[Int], p: Params): Int = math.min(ls.foldLeft(p.kvEff + 1)(_ max _), n)
 
   /** Rejects a complete relation with a non-finite target value, naming its
     * row and column. [[Neighbors.Index]] checks only the feature columns, and
@@ -152,8 +144,8 @@ object IIM {
     * order to one [[Ridge.State]], read in place through `featIdx`, and
     * hands `visit` the candidate model of each ℓ in `ls.drop(from)`, in
     * order, in one reused buffer, which it returns holding the last one.
-    * ℓ is capped at the list's length; ℓ ≤ 1 gives the constant
-    * [[singleNeighborModel]], any other ℓ the in-place ridge solve.
+    * ℓ is capped at the list's length; ℓ ≤ 1 gives §III-A2's constant
+    * model φ = (t_i[A_m], 0, …, 0), any other ℓ the in-place ridge solve.
     */
   private def sweep(data: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int, list: Array[Int],
                     ls: Array[Int], alpha: Double, from: Int)(visit: Vec => Unit): Vec = {
@@ -337,12 +329,14 @@ object IIM {
     * reads. After the relation's targets are checked, each query's k
     * nearest tuples are looked up once and marked; `learn` gets the marks
     * and returns the marked tuples' models (any others may be null); each
-    * query then votes over its stored neighbours. No query, no learning.
+    * query then votes over its stored neighbours. No query, no learning;
+    * a query over an empty relation is an error, raised before learning.
     */
   private[repro] def imputeMasked(index: Neighbors.Index, targetIdx: Int, queries: Array[Array[Double]], k: Int)(
       learn: Array[Boolean] => Array[Vec]): Array[Double] = {
     requireFiniteTargets(index.data, targetIdx)
     if (queries.isEmpty) return Array.emptyDoubleArray
+    require(index.data.nonEmpty, s"complete relation is empty: no tuple to impute ${queries.length} queries from")
     val nn = queries.map(index.nearest(_, k))
     val marked = new Array[Boolean](index.data.length)
     nn.foreach(_.foreach(marked(_) = true))

@@ -10,11 +10,13 @@ package repro.core
   *
   * Two searches return the same result, the `count` nearest rows in
   * ascending (distance, index) order, so ties are broken by row index:
+  *  - [[Index]] is built once per (relation, `featIdx`) and answers every
+  *    lookup of learning, imputation, the Spark jobs and the kNN-based
+  *    baselines with a k-d tree. The paper leaves indexing out of scope
+  *    (§III-A3); the index is an extension that changes no result bit;
   *  - [[nearest]] is a linear scan with a bounded max-heap, O(n log c) for
-  *    c neighbours, for one-off lookups;
-  *  - [[Index]] is built once per (relation, `featIdx`) and answers many
-  *    lookups with a k-d tree. The paper leaves indexing out of scope
-  *    (§III-A3); the index is an extension that changes no result bit.
+  *    c neighbours: the reference the index is tested against, and the
+  *    one-off lookup of `IIM.imputeOne` over a bare relation.
   */
 object Neighbors {
 
@@ -146,10 +148,6 @@ object Neighbors {
     * monotonically, so it never exceeds the computed distance of a point in
     * the box, and pruning never drops a row the scan would keep.
     *
-    * When a query asks for more than n / [[Index.ScanDivisor]] rows, nearly
-    * every leaf survives pruning and the tree costs more than it saves, so
-    * the index answers with the linear scan [[Neighbors.nearest]] instead.
-    *
     * Building rejects a relation with a non-finite value in a feature column;
     * a query rejects a non-finite feature.
     */
@@ -172,7 +170,6 @@ object Neighbors {
       val n = ids.length
       val c = math.min(count, if (exclude >= 0 && exclude < n) n - 1 else n)
       if (c <= 0) return Array.emptyIntArray
-      if (c.toLong * Index.ScanDivisor > n) return Neighbors.nearest(data, featIdx, q, c, exclude)
       val best = new Best(c)
       search(0, q, best, exclude)
       best.sorted()
@@ -219,21 +216,6 @@ object Neighbors {
   }
 
   object Index {
-
-    /** A query for more than n / ScanDivisor rows goes to the linear scan.
-      * The cut is where the scan starts to win. Measured on a 4-core VM as
-      * tree time over scan time for the neighbour lists of 600 rows (median
-      * of 5 runs), on SN (|F| = 1, n = 19,000), CCPP (4, 3,000), ASF (5,
-      * 1,425) and CA (8, 1,900):
-      *
-      *   c = n/8: 0.36, 0.62, 0.52, 0.86;   c = n/2: 0.67, 0.97, 0.84, 0.96;
-      *   c = 5n/8: 0.58, 1.05, 0.96, 1.04;  c = n: 0.82, 1.23, 1.21, 1.18.
-      *
-      * Every list and lookup of the benchmark workloads asks for at most
-      * n/4 rows and takes the tree (CA ℓ ≤ 400: c = 400 of 1,900); counts
-      * above n/2 come from relations not much larger than ℓ_max or k.
-      */
-    private val ScanDivisor: Int = 2
 
     /** Points per leaf. */
     private val LeafSize = 8

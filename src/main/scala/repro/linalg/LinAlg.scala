@@ -31,21 +31,13 @@ object LinAlg {
     s
   }
 
-  /** Solve A·x = b by Gaussian elimination with partial pivoting.
-    * Inputs are not mutated. Throws on (numerically) singular A.
-    */
-  def solve(a0: Mat, b0: Vec): Vec = {
-    val x = new Array[Double](a0.length)
-    solveInPlace(a0.flatten, b0.clone(), x)
-    x
-  }
-
-  /** The one elimination behind [[solve]]: solves A·x = b for the n×n
-    * matrix `a`, flat and row-major (`a(r * n + c)`), with n = `x.length`,
-    * and writes the solution into `x`. `a` and `b` are overwritten; nothing
-    * is allocated. A pivot swaps row contents, so each entry sees the same
-    * operations in the same order as elimination over row references.
-    * Throws on (numerically) singular A, naming the column.
+  /** The one elimination: solves A·x = b by Gaussian elimination with
+    * partial pivoting for the n×n matrix `a`, flat and row-major
+    * (`a(r * n + c)`), with n = `x.length`, and writes the solution into
+    * `x`. `a` and `b` are overwritten; nothing is allocated. A pivot swaps
+    * row contents, so each entry sees the same operations in the same order
+    * as elimination over row references. Throws on (numerically) singular
+    * A, naming the column.
     */
   def solveInPlace(a: Array[Double], b: Vec, x: Vec): Unit = {
     val n = x.length

@@ -31,7 +31,8 @@ import repro.linalg.LinAlg.Vec
 object SparkIIM {
 
   /** Distributed Algorithm-3 learning; returns one model per complete tuple,
-    * bitwise identical to [[IIM.adaptive]] (asserted in tests).
+    * bitwise identical to [[IIM.adaptive]] (asserted in tests). An empty
+    * relation has no models and starts no job.
     */
   def adaptiveModels(spark: SparkSession, data: Array[Array[Double]], featIdx: Array[Int],
                      targetIdx: Int, p: IIM.Params): Array[Vec] = {
@@ -62,11 +63,12 @@ object SparkIIM {
   }
 
   /** `f` over `items` in one job described as `phase`, results in item
-    * order (`collect` keeps partition order). `f` may read broadcasts only.
-    * The caller's job description, the local property `setJobDescription`
-    * writes, is restored afterwards.
+    * order (`collect` keeps partition order); no items start no job. `f`
+    * may read broadcasts only. The caller's job description, the local
+    * property `setJobDescription` writes, is restored afterwards.
     */
   private def perTuple[A: ClassTag, T: ClassTag](sc: SparkContext, phase: String, items: Seq[A])(f: A => T): Array[T] = {
+    if (items.isEmpty) return Array.empty[T]
     val caller = sc.getLocalProperty("spark.job.description")
     sc.setJobDescription(phase)
     try sc.parallelize(items, sc.defaultParallelism).map(f).collect()

@@ -75,9 +75,13 @@ class IIMSpec extends AnyFunSuite {
     }
   }
 
-  test("singleNeighborModel is constant in every feature") {
-    val phi = IIM.singleNeighborModel(3, 7.5)
-    assert(phi.sameElements(Array(7.5, 0.0, 0.0, 0.0)))
+  test("an empty complete relation: queries are an error naming it, no query no values, adaptive no models") {
+    val empty = Array.empty[Array[Double]]
+    val imputer = new IIM.LocalImputer(IIM.Params())
+    val e = intercept[IllegalArgumentException](imputer.imputeAll(empty, Array(0), 1, Array(Array(1.0)), 0L))
+    assert(e.getMessage.contains("complete relation is empty"), e.getMessage)
+    assert(imputer.imputeAll(empty, Array(0), 1, Array.empty, 0L).isEmpty)
+    assert(IIM.adaptive(empty, Array(0), 1, IIM.Params()).isEmpty)
   }
 
   private def randomData(n: Int, m: Int, seed: Long): Array[Array[Double]] = {

@@ -131,6 +131,25 @@ class NeighborsSpec extends AnyFunSuite {
     assert(result.passed, result.status)
   }
 
+  test("Index.nearest and neighborLists equal the scan above n/2 rows, with exact ties") {
+    // n = 257 rows, so the tree has several levels; features on a 0.5 grid,
+    // 81 distinct points, so many distances tie exactly.
+    val rnd = new scala.util.Random(5)
+    val n = 257
+    val data = Array.fill(n)(Array.fill(3)(rnd.nextInt(9) * 0.5))
+    val featIdx = Array(2, 0)
+    val index = Neighbors.Index(data, featIdx)
+    val queries = data.map(Neighbors.project(_, featIdx)) ++ Array(Array(1.25, 2.0), Array(-1.0, 5.0))
+    for (count <- Seq(n / 2 + 1, n - 1, n, n + 3)) {
+      for (exclude <- Seq(-1, 0, n / 2, n - 1); (q, qi) <- queries.zipWithIndex)
+        assert(index.nearest(q, count, exclude).sameElements(Neighbors.nearest(data, featIdx, q, count, exclude)),
+          s"count $count exclude $exclude query $qi")
+      val lists = IIM.neighborLists(index, count)
+      for (i <- data.indices)
+        assert(lists(i).sameElements(Neighbors.nearest(data, featIdx, queries(i), count)), s"count $count tuple $i")
+    }
+  }
+
   test("neighborLists on SN at Table V size equals the per-tuple scan") {
     // The complete relation and IIM parameters of the Table V SN row.
     val sn = Missing.inject(Generators.byName("SN", 42).rows, frac = 0.05, seed = 43).complete

@@ -59,7 +59,8 @@ class OracleSpec extends AnyFunSuite {
     for ((data, featIdx, _) <- cases) {
       val n = data.length
       val index = Neighbors.Index(data, featIdx)
-      // The index answers up to n/2 rows with the k-d tree and more with the scan.
+      // The k-d tree (neighborLists) and the linear scan it is tested
+      // against both answer every count up to n.
       for (limit <- Seq(1, n / 4, n / 2, n / 2 + 1, n)) {
         val sql =
           s"""SELECT i, j FROM (
@@ -67,8 +68,10 @@ class OracleSpec extends AnyFunSuite {
              |         row_number() OVER (PARTITION BY q.id ORDER BY ${distanceSql(featIdx)}, t.id) AS r
              |  FROM rel q CROSS JOIN rel t)
              |WHERE r <= $limit ORDER BY i, r""".stripMargin
-        assertSameRows(pairs(IIM.neighborLists(index, limit)), Oracle.query(sql, relation(data)),
-          s"n=$n F=${featIdx.mkString(",")} limit=$limit")
+        val want = Oracle.query(sql, relation(data))
+        val scan = data.map(r => Neighbors.nearest(data, featIdx, Neighbors.project(r, featIdx), limit))
+        for ((side, lists) <- Seq("tree" -> IIM.neighborLists(index, limit), "scan" -> scan))
+          assertSameRows(pairs(lists), want, s"$side n=$n F=${featIdx.mkString(",")} limit=$limit")
       }
     }
   }

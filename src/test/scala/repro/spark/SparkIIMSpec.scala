@@ -163,6 +163,17 @@ class SparkIIMSpec extends SparkSpec {
     assert(jobs.isEmpty, jobs)
   }
 
+  test("an empty complete relation starts no job: queries are an error naming it, adaptiveModels has no models") {
+    val empty = Array.empty[Array[Double]]
+    val (jobs, _) = jobsOf {
+      val e = intercept[IllegalArgumentException](SparkIIM.imputeValues(spark, empty, Array(0), 1, Array(Array(1.0)), p))
+      assert(e.getMessage.contains("complete relation is empty"), e.getMessage)
+      assert(SparkIIM.imputeValues(spark, empty, Array(0), 1, Array.empty, p).isEmpty)
+      assert(SparkIIM.adaptiveModels(spark, empty, Array(0), 1, p).isEmpty)
+    }
+    assert(jobs.isEmpty, jobs)
+  }
+
   test("a NaN target in a row no query reads is rejected with its row and column") {
     val data = randomData(30, 3, 18)
     data(17)(0) = 90.0; data(17)(1) = 90.0; data(17)(2) = Double.NaN
