@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Imputer, Neighbors, Ridge}
+import repro.core.{IIM, Imputer, Neighbors, Ridge}
 import repro.linalg.LinAlg
 import scala.util.Random
 
@@ -111,18 +111,21 @@ final class EracerImputer(k: Int = 5, alpha: Double = 1e-3) extends Imputer {
 
 /** Predictive mean matching (Landerman et al. / mice.pmm): regress, then
   * return the observed value of a random donor among the `donors` complete
-  * tuples whose fitted values are closest to the query's prediction.
+  * tuples whose fitted values are closest to the query's prediction, ties
+  * going to the lower row index.
   */
 final class PmmImputer(donors: Int = 5, alpha: Double = 1e-3) extends Imputer {
   override val name = "PMM"
   override def imputeAll(complete: Array[Array[Double]], featIdx: Array[Int], targetIdx: Int,
                          queries: Array[Array[Double]], seed: Long): Array[Double] = {
+    IIM.requireQueries(queries, featIdx.length)
     val rnd = new Random(seed)
     val phi = GlrImputer.fit(complete, featIdx, targetIdx, alpha)
-    val fitted = complete.map(r => Ridge.predict(phi, Neighbors.project(r, featIdx)))
+    // Formula 1 over one attribute is sqrt(fl(d²)), which equals |d| exactly
+    // while 2⁻⁵⁰⁰ < |d| < 2⁵⁰⁰, so the index orders donors by (|f − ŷ|, index).
+    val fitted = Neighbors.Index(complete.map(r => Array(Ridge.predict(phi, Neighbors.project(r, featIdx)))), Array(0))
     queries.map { q =>
-      val yHat = Ridge.predict(phi, q)
-      val pool = fitted.indices.sortBy(i => (math.abs(fitted(i) - yHat), i)).take(donors)
+      val pool = fitted.nearest(Array(Ridge.predict(phi, q)), donors)
       complete(pool(rnd.nextInt(pool.length)))(targetIdx)
     }
   }

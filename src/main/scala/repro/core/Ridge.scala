@@ -29,8 +29,6 @@ object Ridge {
     private val uf = new Array[Double](d * d)
     /** V = XᵀY over all rows added so far. */
     val v: Vec = new Array[Double](d)
-    /** Number of rows added. */
-    var count: Int = 0
     // Scratch of solveInto: U + αE and the right-hand side, eliminated in place.
     private val a = new Array[Double](d * d)
     private val b = new Array[Double](d)
@@ -66,7 +64,6 @@ object Ridge {
         while (j < nFeatures) { uf(ro + j + 1) += xi * (s * row(featIdx(j))); j += 1 }
         i += 1
       }
-      count += 1
     }
 
     /** Writes (U + αE)⁻¹ `rhs` into `out` (both of length nFeatures + 1)

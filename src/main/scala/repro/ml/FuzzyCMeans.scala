@@ -41,41 +41,25 @@ object FuzzyCMeans {
         while (a < m) { cent(j)(a) = if (den > 0) num(a) / den else 0.0; a += 1 }
         j += 1
       }
-      // Membership update: u_ij = 1 / Σ_l (d_ij/d_il)^(2/(p-1)).
-      val pow = 2.0 / (fuzzifier - 1.0)
       var i = 0
-      while (i < n) {
-        val d = Array.tabulate(c) { j2 =>
-          var s = 0.0; var a = 0
-          while (a < m) { val t = data(i)(a) - cent(j2)(a); s += t * t; a += 1 }
-          math.sqrt(s)
-        }
-        val zero = d.indexWhere(_ < 1e-12)
-        if (zero >= 0) {
-          var j2 = 0
-          while (j2 < c) { u(i)(j2) = if (j2 == zero) 1.0 else 0.0; j2 += 1 }
-        } else {
-          var j2 = 0
-          while (j2 < c) {
-            var s = 0.0; var l = 0
-            while (l < c) { s += math.pow(d(j2) / d(l), pow); l += 1 }
-            u(i)(j2) = 1.0 / s
-            j2 += 1
-          }
-        }
-        i += 1
-      }
+      while (i < n) { u(i) = membership(cent, data(i), fuzzifier); i += 1 }
       iter += 1
     }
     Model(cent, u)
   }
 
-  /** Soft assignment of a new point (same membership formula). */
-  def membershipOf(model: Model, x: Array[Double], fuzzifier: Double = 2.0): Array[Double] = {
-    val c = model.centroids.length
+  /** Soft assignment of a new point (the membership formula of [[fit]]). */
+  def membershipOf(model: Model, x: Array[Double], fuzzifier: Double = 2.0): Array[Double] =
+    membership(model.centroids, x, fuzzifier)
+
+  /** u_j = 1 / Σ_l (d_j/d_l)^(2/(p-1)), with d_j the Euclidean distance from
+    * `x` to centroid j; a point on a centroid belongs to it alone.
+    */
+  private def membership(centroids: Array[Array[Double]], x: Array[Double], fuzzifier: Double): Array[Double] = {
+    val c = centroids.length
     val d = Array.tabulate(c) { j =>
       var s = 0.0; var a = 0
-      while (a < x.length) { val t = x(a) - model.centroids(j)(a); s += t * t; a += 1 }
+      while (a < x.length) { val t = x(a) - centroids(j)(a); s += t * t; a += 1 }
       math.sqrt(s)
     }
     val zero = d.indexWhere(_ < 1e-12)

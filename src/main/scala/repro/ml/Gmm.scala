@@ -36,12 +36,13 @@ object Gmm {
     }
 
     val resp = Array.fill(n)(new Array[Double](c))
+    val allDims = Array.range(0, m)
     var iter = 0
     while (iter < maxIters) {
       // E step: responsibilities via log-density, stabilised.
       var i = 0
       while (i < n) {
-        val lp = Array.tabulate(c)(j2 => math.log(w(j2)) + logDensity(data(i), mu(j2), va(j2)))
+        val lp = Array.tabulate(c)(j2 => math.log(w(j2)) + logDensity(data(i), mu(j2), va(j2), allDims))
         val mx = lp.max
         var s = 0.0
         var j2 = 0
@@ -83,25 +84,15 @@ object Gmm {
     Model(w, mu, va)
   }
 
-  /** log N(x | μ, diag(σ²)), optionally over a subset of dimensions. */
-  def logDensity(x: Array[Double], mu: Array[Double], va: Array[Double],
-                 dims: Array[Int] = null): Double = {
+  /** log N(x | μ, diag(σ²)) over the dimensions `dims`; `x` is projected on them. */
+  def logDensity(x: Array[Double], mu: Array[Double], va: Array[Double], dims: Array[Int]): Double = {
     var s = 0.0
-    if (dims == null) {
-      var a = 0
-      while (a < x.length) {
-        val d = x(a) - mu(a)
-        s += -0.5 * (math.log(2.0 * math.Pi * va(a)) + d * d / va(a))
-        a += 1
-      }
-    } else {
-      var p = 0
-      while (p < dims.length) {
-        val a = dims(p)
-        val d = x(p) - mu(a) // x is projected when dims are given
-        s += -0.5 * (math.log(2.0 * math.Pi * va(a)) + d * d / va(a))
-        p += 1
-      }
+    var p = 0
+    while (p < dims.length) {
+      val a = dims(p)
+      val d = x(p) - mu(a)
+      s += -0.5 * (math.log(2.0 * math.Pi * va(a)) + d * d / va(a))
+      p += 1
     }
     s
   }

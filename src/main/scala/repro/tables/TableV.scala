@@ -47,13 +47,21 @@ object TableV {
   val columns: Seq[String] =
     Seq("IIM", "kNN", "kNNE", "IFC", "GMM", "SVD", "ILLS", "GLR", "LOESS", "BLR", "ERACER", "PMM", "XGB")
 
-  def format(rows: Seq[Row]): String = {
-    val header = (Seq("Dataset", "R2_S", "R2_H") ++ columns).map(s => f"$s%8s").mkString(" ")
-    val lines = rows.map { r =>
-      val cells = Seq(f"${r.dataset}%8s", f"${r.r2s}%8.2f", f"${r.r2h}%8.2f") ++
-        columns.map(c => r.rms.get(c).map(v => f"$v%8.2f").getOrElse(f"${"-"}%8s"))
-      cells.mkString(" ")
+  def format(rows: Seq[Row]): String =
+    layout(8, 2, Seq("Dataset", "R2_S", "R2_H"), columns, rows.map(r => (r.dataset, Seq(r.r2s, r.r2h), r.rms)))
+
+  /** The layout of Tables V–VII: right-aligned cells `width` wide. A row is
+    * its label, its leading scores, then one cell per entry of `columns`,
+    * "-" where the row has no score.
+    */
+  private[tables] def layout(width: Int, decimals: Int, head: Seq[String], columns: Seq[String],
+                             rows: Seq[(String, Seq[Double], Map[String, Double])]): String = {
+    def text(s: String): String = s"%${width}s".format(s)
+    def number(v: Double): String = s"%$width.${decimals}f".format(v)
+    val lines = rows.map { case (label, lead, scores) =>
+      (text(label) +: (lead.map(number) ++ columns.map(c => scores.get(c).map(number).getOrElse(text("-")))))
+        .mkString(" ")
     }
-    (header +: lines).mkString("\n")
+    ((head ++ columns).map(text).mkString(" ") +: lines).mkString("\n")
   }
 }

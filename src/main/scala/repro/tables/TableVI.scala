@@ -22,13 +22,7 @@ object TableVI {
     }
   }
 
-  def format(rows: Seq[Row]): String = {
-    val header = (Seq("Attr", "R2_S", "R2_H") ++ TableV.columns).map(s => f"$s%8s").mkString(" ")
-    val lines = rows.map { r =>
-      val cells = Seq(f"${"A" + (r.attr + 1)}%8s", f"${r.r2s}%8.2f", f"${r.r2h}%8.2f") ++
-        TableV.columns.map(c => r.rms.get(c).map(v => f"$v%8.2f").getOrElse(f"${"-"}%8s"))
-      cells.mkString(" ")
-    }
-    (header +: lines).mkString("\n")
-  }
+  def format(rows: Seq[Row]): String =
+    TableV.layout(8, 2, Seq("Attr", "R2_S", "R2_H"), TableV.columns,
+      rows.map(r => ("A" + (r.attr + 1), Seq(r.r2s, r.r2h), r.rms)))
 }

@@ -29,14 +29,8 @@ object TableVII {
       val k = clusterK(name)
       // Keep the clustering app at moderate n so 15 impute+cluster runs fit.
       val ds = Generators.byName(name, seed, sizeFactor * (if (name == "CA") 0.4 else 1.0))
-      val holed = Missing.injectCells(ds.rows, cellProb, seed + 1)
       val truth = KMeans.fit(ds.rows, k, seed).labels
-      val missingScore = Applications.clusteringPurity(truth, holed, k, seed)
-      val methods = Methods.iim(spark, name) +: Methods.withMean()
-      val scores = methods.map { m =>
-        m.name -> Applications.clusteringPurity(truth, Applications.imputeMatrix(holed, m, seed + 2), k, seed)
-      }.toMap
-      Row(name, missingScore, scores)
+      row(spark, ds, cellProb, seed)(Applications.clusteringPurity(truth, _, k, seed))
     }
 
   /** Classification rows (weighted F1, 5-fold CV). */
@@ -45,27 +39,22 @@ object TableVII {
     Seq("MAM", "HEP").map { name =>
       val ds = Generators.byName(name, seed, sizeFactor)
       val labels = ds.labels.getOrElse(sys.error(s"$name must be labelled"))
-      val holed = Missing.injectCells(ds.rows, cellProbs(name), seed + 1)
-      def f1Of(data: Array[Array[Double]]): Double =
-        Applications.classificationF1(data, labels, seed)
-      val missingScore = f1Of(holed)
-      val methods = Methods.iim(spark, name) +: Methods.withMean()
-      val scores = methods.map { m =>
-        m.name -> f1Of(Applications.imputeMatrix(holed, m, seed + 2))
-      }.toMap
-      Row(name, missingScore, scores)
+      row(spark, ds, cellProbs(name), seed)(Applications.classificationF1(_, labels, seed))
     }
+
+  /** One dataset's row: inject holes, score the holed data, then score each
+    * method's imputation of it.
+    */
+  private def row(spark: SparkSession, ds: Generators.Dataset, cellProb: Double, seed: Long)
+                 (score: Array[Array[Double]] => Double): Row = {
+    val holed = Missing.injectCells(ds.rows, cellProb, seed + 1)
+    val methods = Methods.iim(spark, ds.name) +: Methods.withMean()
+    Row(ds.name, score(holed), methods.map(m => m.name -> score(Applications.imputeMatrix(holed, m, seed + 2))).toMap)
+  }
 
   def run(spark: SparkSession, sizeFactor: Double = 1.0, seed: Long = 42): Seq[Row] =
     clustering(spark, sizeFactor, seed) ++ classification(spark, sizeFactor, seed)
 
-  def format(rows: Seq[Row]): String = {
-    val header = (Seq("Dataset", "Missing") ++ methodColumns).map(s => f"$s%7s").mkString(" ")
-    val lines = rows.map { r =>
-      val cells = Seq(f"${r.dataset}%7s", f"${r.missing}%7.3f") ++
-        methodColumns.map(c => r.scores.get(c).map(v => f"$v%7.3f").getOrElse(f"${"-"}%7s"))
-      cells.mkString(" ")
-    }
-    (header +: lines).mkString("\n")
-  }
+  def format(rows: Seq[Row]): String =
+    TableV.layout(7, 3, Seq("Dataset", "Missing"), methodColumns, rows.map(r => (r.dataset, Seq(r.missing), r.scores)))
 }

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Neighbors, Ridge}
 
 class AttributeModelImputersSpec extends AnyFunSuite {
 
@@ -119,6 +120,55 @@ class AttributeModelImputersSpec extends AnyFunSuite {
     val q = Array(Array(2.0, 2.0))
     assert(new PmmImputer().imputeAll(data, fi, ti, q, 13L)(0) ==
       new PmmImputer().imputeAll(data, fi, ti, q, 13L)(0))
+  }
+
+  /** PMM as it was before its donors came from `Neighbors.Index`: a full
+    * sort of the fitted values by (|f − ŷ|, index) per query.
+    */
+  private def sortedPool(fitted: Array[Double], yHat: Double, donors: Int): Array[Int] =
+    fitted.indices.sortBy(i => (math.abs(fitted(i) - yHat), i)).take(donors).toArray
+
+  private def referencePmm(complete: Array[Array[Double]], queries: Array[Array[Double]], donors: Int,
+                           seed: Long): Array[Double] = {
+    val rnd = new scala.util.Random(seed)
+    val phi = GlrImputer.fit(complete, fi, ti, 1e-3)
+    val fitted = complete.map(r => Ridge.predict(phi, Neighbors.project(r, fi)))
+    queries.map { q =>
+      val pool = sortedPool(fitted, Ridge.predict(phi, q), donors)
+      complete(pool(rnd.nextInt(pool.length)))(ti)
+    }
+  }
+
+  test("PMM donor pools equal the full sort by (|f - ŷ|, index), exact ties included") {
+    val rnd = new scala.util.Random(21)
+    // Features on a 0.1 grid repeat, so fitted values and ŷ tie exactly.
+    def grid(): Double = rnd.nextInt(11) / 10.0
+    val n = 150
+    val data = Array.fill(n) {
+      val x0 = grid(); val x1 = grid()
+      Array(x0, x1, 2.0 + 1.5 * x0 - 0.5 * x1 + rnd.nextGaussian())
+    }
+    val queries = Array.fill(40)(Array(grid(), grid())) ++ Array(Array(-3.0, 0.25), Array(0.55, 7.0))
+    val fitted1d = Array.fill(n)(grid())
+    for (donors <- Seq(1, 5, n, n + 3)) {
+      val index = Neighbors.Index(fitted1d.map(Array(_)), Array(0))
+      (fitted1d.distinct ++ Seq(0.05, 0.35, -1.0, 2.0)).foreach { y =>
+        assert(index.nearest(Array(y), donors).sameElements(sortedPool(fitted1d, y, donors)),
+          s"donors=$donors ŷ=$y")
+      }
+      (1L to 5L).foreach { seed =>
+        val got = new PmmImputer(donors).imputeAll(data, fi, ti, queries, seed)
+        assert(got.sameElements(referencePmm(data, queries, donors, seed)), s"donors=$donors seed=$seed")
+      }
+    }
+  }
+
+  test("PMM rejects a non-finite query feature, naming it") {
+    val data = linearData()
+    val e = intercept[IllegalArgumentException] {
+      new PmmImputer().imputeAll(data, fi, ti, Array(Array(1.0, 1.0), Array(2.0, Double.NaN)), 0L)
+    }
+    assert(e.getMessage.contains("query 1: query feature 1 is not finite"), e.getMessage)
   }
 
   test("attribute-model imputer names match Table II") {

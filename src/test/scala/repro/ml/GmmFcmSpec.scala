@@ -30,8 +30,8 @@ class GmmFcmSpec extends AnyFunSuite {
 
   test("Gmm logDensity peaks at the mean") {
     val mu = Array(1.0, 2.0); val va = Array(0.5, 0.5)
-    val atMean = Gmm.logDensity(Array(1.0, 2.0), mu, va)
-    val off = Gmm.logDensity(Array(3.0, 2.0), mu, va)
+    val atMean = Gmm.logDensity(Array(1.0, 2.0), mu, va, Array(0, 1))
+    val off = Gmm.logDensity(Array(3.0, 2.0), mu, va, Array(0, 1))
     assert(atMean > off)
   }
 
